@@ -1,31 +1,38 @@
 """Graded Betti tables of monomial ideals, computed exactly.
 
-The engine walks the lcm lattice of the minimal generators: every
-multigraded Betti number lives at the lcm of a subset of generators, and
-the Betti number at multidegree b is the reduced homology rank, one
-dimension down, of the strand complex on supp(b) whose faces are the
-squarefree σ with x^{b-σ} still in the ideal.
+Every multigraded Betti number of I sits at the lcm of a set of minimal
+generators.  The engine walks the lcm classes: the generator subsets
+grouped by their lcm.  Each class has a largest member U, the closed set
+of all generators dividing lcm U, so closed sets and distinct lcms
+correspond one to one.  A depth-first search enumerates the closed sets
+with one frame per generator, the generators encoded as thermometer
+bitmasks so that an lcm is a bitwise OR and its degree a popcount.
 
-Strand complexes are unions of full simplices (one per generator
-dividing x^b, on the complement of that generator's tight variables).
-Small strands are enumerated literally and run through integer boundary
-matrices; large strands are exchanged for the nerve of the simplex
-cover, which has the same homotopy type and stays small.  Everything is
-exact; a per-table Euler-characteristic identity is asserted as a
-self-check.
+When every member of U owns a bit that no other member covers, U is the
+only subset with its lcm.  The Taylor strand there is a single cell, so
+the class adds β_{|U|-1, deg lcm U} = 1 with no linear algebra.  Any
+other class goes through the strand complex at b = lcm U: the squarefree
+σ ⊆ supp(b) with x^{b-σ} ∈ I, whose reduced homology one dimension down
+is the Betti number at b.  Small strands are enumerated literally and
+run through integer boundary matrices; large ones are exchanged for the
+nerve of their simplex cover, which has the same homotopy type.
 
-Strand computations are pure functions of immutable values and safe to
-fan out in parallel; the table merge walks candidate degrees in sorted
-order, so the result never depends on completion order.
+Everything is exact, and the tables check themselves: row 0 against the
+generator degrees, the Euler-characteristic identity up to
+``taylor.TAYLOR_GUARD`` generators, and single-cell classes against the
+strand path (every one up to ``FULL_CHECK_LIMIT`` generators, a
+fixed-seed sample beyond).
 """
 
 from __future__ import annotations
 
 import os
+import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
-from .monomials import Monomial, MonomialIdeal, Variable
+from . import taylor
+from .monomials import Monomial, MonomialIdeal, Variable, thermometer_masks
 from .simplicial import (
     SimplicialComplexOnSupport,
     _popcount,
@@ -37,7 +44,13 @@ from .simplicial import (
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
 DIRECT_FACE_LIMIT = 256
-EULER_CHECK_LIMIT = 16  # 2^m subset sweep; beyond this the self-check is skipped
+# Single-cell classes are cross-checked against the strand path: all of
+# them up to FULL_CHECK_LIMIT generators, beyond that a fixed-seed sample
+# of SAMPLE_CHECKS classes with at most SAMPLE_MAX_SIZE members (the nerve
+# of a bigger class costs seconds).
+FULL_CHECK_LIMIT = 10
+SAMPLE_CHECKS = 16
+SAMPLE_MAX_SIZE = 8
 
 GUARD_ENV_VAR = "EIL_GUARD_GENS"
 
@@ -66,6 +79,13 @@ def _check_generator_guard(I: MonomialIdeal) -> None:
         raise GuardError(
             f"ideal has {len(I.generators)} generators; the guard allows {limit} "
             f"(override with {GUARD_ENV_VAR})"
+        )
+
+
+def _check_ground_guard(variables: int) -> None:
+    if variables > MAX_STRAND_GROUND:
+        raise GuardError(
+            f"strand ground set has {variables} variables; the guard allows {MAX_STRAND_GROUND}"
         )
 
 
@@ -182,25 +202,67 @@ def _vectorize(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple[int, 
     return sup, [tuple(g.exponent(v) for v in sup) for g in I.generators]
 
 
-def _lcm_vec(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(x if x >= y else y for x, y in zip(a, b))
+def _exponents(mask: int, slots: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Exponent vector of a thermometer mask."""
+    return tuple((mask >> offset & ((1 << width) - 1)).bit_count() for offset, width in slots)
+
+
+def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int, bool]]:
+    """Every lcm class once, as (U, lcm mask, single).
+
+    U is a closed generator set, as a bitmask over generator indices.  A
+    child of U adds one generator i past the last one added and takes the
+    closure.  It is pruned when the closure takes in a skipped generator
+    j < i, because that closed set is reached from another parent (the
+    prefix-preserving closure extension of Uno et al.'s LCM miner).  Only
+    generators sharing a variable with i can join the closure: every other
+    non-member already failed to divide lcm U.
+
+    ``single`` says that every member owns a bit no other member covers,
+    i.e. that no proper subset of U has the same lcm.  Once false it stays
+    false below; when U grows by i alone, only members sharing a variable
+    with i can lose their own bits.  The search stack holds one frame per
+    level, so memory is O(m).
+    """
+    m = len(masks)
+    shared = [sum(1 << j for j in range(m) if j != i and masks[i] & masks[j]) for i in range(m)]
+    # Frames: U, lcm mask, bits covered by two members or more, single, next i.
+    stack = [(0, 0, 0, True, 0)]
+    while stack:
+        U, lcm, twice, single, start = stack.pop()
+        for i in range(start, m):
+            if U >> i & 1:
+                continue
+            child_lcm = lcm | masks[i]
+            joined = 0
+            rest = shared[i] & ~U
+            while rest:
+                low = rest & -rest
+                if masks[low.bit_length() - 1] | child_lcm == child_lcm:
+                    joined |= low
+                rest ^= low
+            if joined & ((1 << i) - 1):
+                continue
+            child = U | 1 << i | joined
+            child_twice = twice | (lcm & masks[i])
+            child_single = single and not joined
+            rest = shared[i] & U if child_single else 0
+            while rest:
+                low = rest & -rest
+                if not masks[low.bit_length() - 1] & ~child_twice:
+                    child_single = False
+                    break
+                rest ^= low
+            yield child, child_lcm, child_single
+            stack.append((U, lcm, twice, single, i + 1))
+            stack.append((child, child_lcm, child_twice, child_single, i + 1))
+            break
 
 
 def _candidate_vectors(gen_vecs: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    # lcms of nonempty generator subsets = closure of the generators under
-    # pairwise lcm, which dedups while it builds.
-    cands: set[tuple[int, ...]] = set(gen_vecs)
-    frontier = list(cands)
-    while frontier:
-        fresh = []
-        for b in frontier:
-            for g in gen_vecs:
-                l = _lcm_vec(b, g)
-                if l not in cands:
-                    cands.add(l)
-                    fresh.append(l)
-        frontier = fresh
-    return cands
+    """lcms of the nonempty generator subsets, one per lcm class."""
+    masks, slots = thermometer_masks(gen_vecs)
+    return {_exponents(lcm, slots) for _, lcm, _ in _lcm_classes(masks)}
 
 
 def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
@@ -225,10 +287,6 @@ def _strand_facets(
     those tight sets.
     """
     ground = tuple(i for i, e in enumerate(b) if e)
-    if len(ground) > MAX_STRAND_GROUND:
-        raise GuardError(
-            f"strand ground set has {len(ground)} variables; the guard allows {MAX_STRAND_GROUND}"
-        )
     facets = []
     for g in gen_vecs:
         if all(ge <= be for ge, be in zip(g, b)):
@@ -245,15 +303,18 @@ def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
 
     Faces are the squarefree σ ⊆ supp(b) with x^{b-σ} ∈ I (membership
     meaning divisibility by some minimal generator); this set is downward
-    closed by construction.  b must be a candidate degree.
+    closed by construction.  b must be a candidate degree, i.e. the lcm
+    of the generators dividing it.
     """
     if I.is_zero():
         raise ValueError("the zero ideal has no strands")
     _check_generator_guard(I)
     sup, gen_vecs = _vectorize(I)
     bvec = tuple(b.exponent(v) for v in sup)
-    if b.support() - set(sup) or bvec not in _candidate_vectors(gen_vecs):
+    dividing = [g for g in gen_vecs if all(ge <= be for ge, be in zip(g, bvec))]
+    if b.support() - set(sup) or not dividing or tuple(map(max, zip(*dividing))) != bvec:
         raise ValueError(f"{b} is not a candidate degree of {I}")
+    _check_ground_guard(len(b.support()))
     ground_pos, facets = _strand_facets(gen_vecs, bvec)
     ground = tuple(sup[i] for i in ground_pos)
     return SimplicialComplexOnSupport(ground, facets)
@@ -286,26 +347,71 @@ def _strand_homology(facets: list[int]) -> dict[int, int]:
     return {d: r for d, r in ranks if r}
 
 
+def _single_cell_homology(size: int) -> dict[int, int]:
+    """Reduced strand homology at the lcm of a class whose only subset has
+    ``size`` generators: the Taylor strand is one cell in homological
+    degree size - 1."""
+    return {size - 2: 1}
+
+
+def _check_single_cell(gen_vecs: list[tuple[int, ...]], b: tuple[int, ...], size: int) -> None:
+    """Assert that the strand path agrees with ``_single_cell_homology`` at b."""
+    got = _strand_homology(_strand_facets(gen_vecs, b)[1])
+    want = _single_cell_homology(size)
+    if got != want:
+        raise AssertionError(
+            f"single-cell class of {size} generators at {b}: strand homology {got}, shortcut {want}"
+        )
+
+
 def betti_table(I: MonomialIdeal, *, check_euler: bool = True) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention).
 
-    β_{i,j}(I) is the sum over candidate degrees b of total degree j of
-    the strand homology rank in dimension i-1.  Row 0 is asserted to
-    match the generator degree counts, and (within desk scale) the
-    Euler-characteristic identity against the generator subsets is
-    asserted for every degree.
+    β_{i,j}(I) sums, over the lcm classes of total degree j, one cell per
+    single-subset class U with |U| = i + 1 plus the strand homology rank
+    in dimension i - 1 of every other class.  Row 0 is asserted to match
+    the generator degree counts, single-cell classes are cross-checked
+    against the strand path, and (within ``taylor.TAYLOR_GUARD``
+    generators) the Euler-characteristic identity against the generator
+    subsets is asserted for every degree.
     """
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
     sup, gen_vecs = _vectorize(I)
+    # The lcm of all generators is a candidate whose strand spans supp(I).
+    _check_ground_guard(len(sup))
+    masks, slots = thermometer_masks(gen_vecs)
+    m = len(gen_vecs)
     entries: dict[tuple[int, int], int] = {}
-    for b in sorted(_candidate_vectors(gen_vecs)):
-        _, facets = _strand_facets(gen_vecs, b)
-        j = sum(b)
+    cells: dict[tuple[int, int], int] = {}  # (|U|, degree) -> single-cell classes
+    rng = random.Random(0)
+    sample: list[tuple[int, int]] = []  # reservoir of (|U|, lcm mask)
+    eligible = 0
+    for U, lcm, single in _lcm_classes(masks):
+        j = lcm.bit_count()
+        if single:
+            size = U.bit_count()
+            cells[size, j] = cells.get((size, j), 0) + 1
+            if m <= FULL_CHECK_LIMIT:
+                _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
+            elif size <= SAMPLE_MAX_SIZE:
+                eligible += 1
+                if len(sample) < SAMPLE_CHECKS:
+                    sample.append((size, lcm))
+                else:
+                    slot = rng.randrange(eligible)
+                    if slot < SAMPLE_CHECKS:
+                        sample[slot] = (size, lcm)
+            continue
+        _, facets = _strand_facets(gen_vecs, _exponents(lcm, slots))
         for d, r in _strand_homology(facets).items():
-            key = (d + 1, j)
-            entries[key] = entries.get(key, 0) + r
+            entries[d + 1, j] = entries.get((d + 1, j), 0) + r
+    for size, lcm in sample:
+        _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
+    for (size, j), count in cells.items():
+        for d, r in _single_cell_homology(size).items():
+            entries[d + 1, j] = entries.get((d + 1, j), 0) + r * count
     table = BettiTable("of_ideal", entries)
 
     by_degree: dict[int, int] = {}
@@ -315,20 +421,23 @@ def betti_table(I: MonomialIdeal, *, check_euler: bool = True) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if check_euler and len(gen_vecs) <= EULER_CHECK_LIMIT:
-        from .taylor import euler_characteristic_check
-
-        check = euler_characteristic_check(I, table)
+    if check_euler and m <= taylor.TAYLOR_GUARD:
+        check = taylor.euler_characteristic_check(I, table)
         if not check.ok:
             raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")
     return table
 
 
-def invariants(I: MonomialIdeal) -> InvariantSummary:
-    """reg, pd and depth of S/I (Auslander-Buchsbaum) from the Betti table."""
+def invariants(I: MonomialIdeal, table: BettiTable | None = None) -> InvariantSummary:
+    """reg, pd and depth of S/I (Auslander-Buchsbaum) from the Betti table.
+
+    ``table`` is I's table when the caller already has it; otherwise it
+    is computed.
+    """
     if I.is_zero():
         raise ValueError("the zero ideal has no invariant summary")
-    table = betti_table(I)
+    if table is None:
+        table = betti_table(I)
     n = len(I.ambient)
     pd_ideal = table.pd()
     return InvariantSummary(

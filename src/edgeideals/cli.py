@@ -3,8 +3,8 @@
 Exit codes: 0 = ran, asserted checks passed; 1 = assertion failure
 (theorem-applicable mismatch, fixture mismatch, or splitting identity
 failure); 2 = usage or parse error; 3 = sizing guard.  JSON output is
-canonical (sorted keys) and, with --no-timing, byte-identical across
-runs of the same seeded command.
+canonical (sorted keys) and byte-identical across runs of the same
+seeded command; ``verify`` adds its elapsed time unless given --no-timing.
 """
 
 from __future__ import annotations
@@ -194,7 +194,7 @@ def _cmd_compute(args) -> int:
             return EXIT_USAGE
         try:
             table = betti_table(ideal)
-            summary = invariants(ideal)
+            summary = invariants(ideal, table)
         except GuardError as exc:
             print(f"sizing guard: {exc}", file=sys.stderr)
             return EXIT_GUARD
@@ -226,8 +226,8 @@ def _cmd_compute(args) -> int:
         print("graph input error: the edge set is empty", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report = verify_formula(D)
         table = betti_table(edge_ideal(D))
+        report = verify_formula(D, table)
     except GuardError as exc:
         print(f"sizing guard: {exc}", file=sys.stderr)
         return EXIT_GUARD
@@ -363,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="path to a graph JSON file")
     p.add_argument("--ideal", help='ideal string, e.g. "(x1*x2^3, x2*x3^2)"')
     p.add_argument("--format", choices=["json", "md"], default="json")
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("repro", help="re-derive a bundled reference fixture")
@@ -386,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="path to a graph JSON file")
     p.add_argument("--edge", help="cycle edge tail,head (defaults to the edge entering the first cycle vertex)")
     p.add_argument("--format", choices=["json", "md"], default="json")
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_splitting)
 
     return parser

@@ -164,12 +164,17 @@ class InvariantReport:
         return "\n".join(lines)
 
 
-def verify_formula(D: WeightedDigraph) -> InvariantReport:
-    """Run the engine against the predictions and produce the verdict."""
+def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> InvariantReport:
+    """Run the engine against the predictions and produce the verdict.
+
+    ``table`` is the Betti table of the edge ideal when the caller already
+    has it (source weights never enter the edge ideal); otherwise it is
+    computed.  The report keeps only the invariants, not the table.
+    """
     prediction = predict(D)
     Dn = normalize_source_weights(D)
     try:
-        summary = invariants(edge_ideal(Dn))
+        summary = invariants(edge_ideal(Dn), table)
     except GuardError:
         return InvariantReport(
             graph=D,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 
 class IdealSyntaxError(ValueError):
@@ -240,6 +240,31 @@ def make_ideal(raw_generators: Iterable[Monomial], ambient: Iterable[Variable]) 
 def lcm_of(a: Monomial, b: Monomial) -> Monomial:
     """Componentwise maximum of exponents."""
     return a.lcm(b)
+
+
+def thermometer_masks(
+    vectors: Sequence[Sequence[int]],
+) -> tuple[list[int], list[tuple[int, int]]]:
+    """Bitmask encoding of exponent vectors under which lcm is bitwise OR.
+
+    Position k gets a slot as wide as its largest exponent, and exponent e
+    sets the low e bits of that slot (the support of the polarization).
+    So the lcm of a set is the OR of its masks, divisibility is mask
+    inclusion, and the total degree of an lcm is the popcount of the OR.
+    Returns the masks and each slot's (offset, width).
+    """
+    widths = [max(column) for column in zip(*vectors)]
+    slots, offset = [], 0
+    for width in widths:
+        slots.append((offset, width))
+        offset += width
+    masks = []
+    for vec in vectors:
+        mask = 0
+        for (offset, _), e in zip(slots, vec):
+            mask |= ((1 << e) - 1) << offset
+        masks.append(mask)
+    return masks, slots
 
 
 def intersect(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:

@@ -11,7 +11,9 @@ between the two is a genuine cross-check.
 Also home to the Euler-characteristic identity: for each degree j the
 alternating sum of β_{i,j}(S/I) equals the alternating subset count
 Σ_{S ⊆ G(I)} (-1)^{|S|} [deg lcm(S) = j], which holds for any resolution
-and is used as an engine self-check.
+and is used as an engine self-check.  Its subset side is a depth-first
+walk over the generator subsets that ORs thermometer masks and counts
+popcounts, so it holds O(m) state rather than a 2^m table.
 """
 
 from __future__ import annotations
@@ -19,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomials import MonomialIdeal
+from .monomials import MonomialIdeal, thermometer_masks
 
-TAYLOR_GUARD = 16  # 2^m subset enumeration
+TAYLOR_GUARD = 16  # generators; both the oracle and the Euler check visit all 2^m subsets
 
 
 def rank_over_q(rows: list[list[int]]) -> int:
@@ -54,11 +56,15 @@ def rank_over_q(rows: list[list[int]]) -> int:
     return rank
 
 
+def _exponent_vectors(I: MonomialIdeal) -> list[tuple[int, ...]]:
+    sup = [v for v in I.ambient if v in I.support()]
+    return [tuple(g.exponent(v) for v in sup) for g in I.generators]
+
+
 def _subset_lcms(I: MonomialIdeal) -> tuple[list[tuple[int, ...]], list[int]]:
     """Exponent-vector lcm and total degree for every generator subset mask."""
-    sup = [v for v in I.ambient if v in I.support()]
-    gens = [tuple(g.exponent(v) for v in sup) for g in I.generators]
-    n = len(sup)
+    gens = _exponent_vectors(I)
+    n = len(gens[0])
     m = len(gens)
     lcms: list[tuple[int, ...]] = [(0,) * n] * (1 << m)
     degs = [0] * (1 << m)
@@ -149,13 +155,15 @@ def euler_characteristic_check(I: MonomialIdeal, table) -> EulerCheck:
     for (i, j), c in quotient.entries.items():
         lhs[j] = lhs.get(j, 0) + (c if i % 2 == 0 else -c)
     rhs: dict[int, int] = {}
-    if I.is_zero():
-        rhs[0] = 1
-    else:
-        _, degs = _subset_lcms(I)
-        for mask in range(1 << m):
-            j = degs[mask]
-            rhs[j] = rhs.get(j, 0) + (1 if bin(mask).count("1") % 2 == 0 else -1)
+    masks, _ = thermometer_masks(_exponent_vectors(I))
+
+    def walk(start: int, lcm: int, sign: int) -> None:
+        j = lcm.bit_count()
+        rhs[j] = rhs.get(j, 0) + sign
+        for i in range(start, m):
+            walk(i + 1, lcm | masks[i], -sign)
+
+    walk(0, 0, 1)
     per_degree = {
         j: (lhs.get(j, 0), rhs.get(j, 0)) for j in sorted(set(lhs) | set(rhs))
     }

@@ -1,18 +1,23 @@
 import random
+import tracemalloc
+from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import edgeideals.betti as betti_mod
 from edgeideals.betti import (
     BettiTable,
     GuardError,
+    InvariantSummary,
     betti_table,
     candidate_degrees,
     invariants,
     strand_complex,
 )
 from edgeideals.fixtures import FIXTURES
-from edgeideals.digraphs import edge_ideal
+from edgeideals.digraphs import edge_ideal, random_instance
 from edgeideals.monomials import (
     Monomial,
     Variable,
@@ -22,7 +27,9 @@ from edgeideals.monomials import (
     parse_ideal,
     parse_monomial,
     polarize,
+    thermometer_masks,
 )
+from edgeideals.simplicial import reduced_homology_ranks
 from edgeideals.taylor import euler_characteristic_check, taylor_betti_table
 
 from conftest import random_ideal
@@ -250,3 +257,103 @@ class TestRendering:
 
     def test_empty_table_renders(self):
         assert "empty" in BettiTable("of_ideal", {}).render_grid()
+
+
+AMBIENT5 = tuple(Variable(f"x{i}") for i in range(1, 6))
+
+
+@st.composite
+def small_ideals(draw):
+    """Up to ten generators of degree d..d+2 over five variables.
+
+    Close degrees keep most of the drawn generators minimal."""
+    degree, count = draw(st.integers(2, 4)), draw(st.integers(1, 10))
+    picks = st.lists(st.integers(0, len(AMBIENT5) - 1), min_size=degree, max_size=degree + 2)
+    monomials = picks.map(lambda p: Monomial({v: p.count(k) for k, v in enumerate(AMBIENT5)}))
+    return make_ideal(draw(st.lists(monomials, min_size=count, max_size=count, unique=True)), AMBIENT5)
+
+
+def oriented_cycle_ideal(m, seed=1):
+    return edge_ideal(random_instance("OrientedCycle", cycle_len=m, weight_range=(2, 3), seed=seed))
+
+
+def brute_force_classes(masks):
+    """lcm mask -> (union of the subsets with that lcm, whether there is only one)."""
+    by_lcm = {}
+    for r in range(1, len(masks) + 1):
+        for subset in combinations(range(len(masks)), r):
+            lcm = 0
+            for i in subset:
+                lcm |= masks[i]
+            by_lcm.setdefault(lcm, []).append(sum(1 << i for i in subset))
+    out = {}
+    for lcm, subsets in by_lcm.items():
+        union = 0
+        for s in subsets:
+            union |= s
+        out[lcm] = (union, len(subsets) == 1)
+    return out
+
+
+class TestLcmClasses:
+    @given(small_ideals())
+    def test_enumeration_matches_brute_force(self, I):
+        masks, _ = thermometer_masks(betti_mod._vectorize(I)[1])
+        got = [(lcm, (U, single)) for U, lcm, single in betti_mod._lcm_classes(masks)]
+        assert len(got) == len(dict(got))  # each lcm class exactly once
+        assert dict(got) == brute_force_classes(masks)
+
+    @given(small_ideals())
+    def test_engine_matches_taylor_oracle(self, I):
+        assert betti_table(I) == taylor_betti_table(I)
+
+    def test_single_cell_classes_match_literal_strands(self, rng):
+        ideals = [edge_ideal(f.graph) for f in FIXTURES.values()]
+        ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
+        checked = 0
+        for I in ideals:
+            sup, gen_vecs = betti_mod._vectorize(I)
+            masks, slots = thermometer_masks(gen_vecs)
+            for U, lcm, single in betti_mod._lcm_classes(masks):
+                if not single:
+                    continue
+                b = Monomial(dict(zip(sup, betti_mod._exponents(lcm, slots))))
+                ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
+                assert ranks == {U.bit_count() - 2: 1}
+                checked += 1
+        assert checked > 100
+
+    @pytest.mark.parametrize("m", [6, 12])
+    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, m):
+        # every single-cell class is checked up to FULL_CHECK_LIMIT
+        # generators, a sample of them above
+        assert (m <= betti_mod.FULL_CHECK_LIMIT) == (m == 6)
+        monkeypatch.setattr(betti_mod, "_single_cell_homology", lambda size: {size - 2: 2})
+        with pytest.raises(AssertionError, match="single-cell class"):
+            betti_table(oriented_cycle_ideal(m), check_euler=False)
+
+    def test_memory_stays_small_on_a_sixteen_cycle(self):
+        I = oriented_cycle_ideal(16)
+        tracemalloc.start()
+        try:
+            table = betti_table(I)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.pd() == 15
+        assert peak < 2 * 2**20
+
+    def test_ground_guard_refuses_before_enumerating(self, monkeypatch):
+        ambient = tuple(Variable(f"x{i}") for i in range(1, 26))
+        gens = [Monomial({v: 1 for v in ambient[k:k + 5]}) for k in range(0, 25, 5)]
+        walked = []
+        monkeypatch.setattr(betti_mod, "_lcm_classes", lambda masks: walked.append(masks) or iter(()))
+        with pytest.raises(GuardError, match="strand ground set has 25 variables"):
+            betti_table(make_ideal(gens, ambient))
+        assert not walked
+
+    def test_invariants_reuse_a_given_table(self, monkeypatch):
+        I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)")
+        table = betti_table(I)
+        monkeypatch.setattr(betti_mod, "betti_table", None)
+        assert invariants(I, table) == InvariantSummary(11, 3, 0, 4)

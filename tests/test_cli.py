@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+import edgeideals.betti as betti_mod
+import edgeideals.cli as cli_mod
 from edgeideals.cli import (
     EXIT_ASSERTION,
     EXIT_GUARD,
@@ -97,6 +99,25 @@ class TestCompute:
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", "/nonexistent.json")
         assert code == EXIT_USAGE
+
+    def test_each_command_builds_one_table(self, capsys, c3_path, monkeypatch):
+        calls = []
+        real = betti_mod.betti_table
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(betti_mod, "betti_table", counting)
+        monkeypatch.setattr(cli_mod, "betti_table", counting)
+        for argv in (["compute", "--input", c3_path], ["compute", "--ideal", "(x1*x2, x2*x3)"]):
+            calls.clear()
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            assert len(calls) == 1
+
+    def test_no_timing_flag_is_only_on_verify(self, capsys, c3_path):
+        for argv in (["compute", "--input", c3_path], ["splitting", "--input", c3_path]):
+            assert run_cli(capsys, *argv, "--no-timing")[0] == EXIT_USAGE
 
 
 class TestRepro:

@@ -258,3 +258,14 @@ class TestFormulaCampaignSpot:
         for seed in (11, 12):
             D = random_instance(tag, weight_range=(2, 3), seed=seed, **kwargs)
             assert verify_formula(D).verdict == VERDICT_PASS
+
+
+class TestLargeOrientedCycles:
+    @pytest.mark.parametrize("m", [14, 16])
+    def test_engine_matches_closed_form(self, m):
+        D = random_instance(GraphClassTag.ORIENTED_CYCLE, cycle_len=m, weight_range=(2, 3), seed=m)
+        p = predict(D)
+        report = verify_formula(D)
+        assert p.applicable and report.verdict == VERDICT_PASS
+        assert (report.computed.reg, report.computed.pd) == (p.reg_pred, p.pd_pred) == (
+            p.sum_weights - m + 1, m - 1)
