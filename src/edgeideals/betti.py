@@ -13,9 +13,9 @@ only subset with its lcm.  The Taylor strand there is a single cell, so
 the class adds β_{|U|-1, deg lcm U} = 1 with no linear algebra.  Any
 other class goes through the strand complex at b = lcm U: the squarefree
 σ ⊆ supp(b) with x^{b-σ} ∈ I, whose reduced homology one dimension down
-is the Betti number at b.  Small strands are enumerated literally and
-run through integer boundary matrices; large ones are exchanged for the
-nerve of their simplex cover, which has the same homotopy type.
+is the Betti number at b.  The strand is a union of full simplices, one
+per generator dividing x^b, so its homology is read off the nerve of that
+cover (same homotopy type) through integer boundary matrices.
 
 Everything is exact, and the tables check themselves: row 0 against the
 generator degrees, the Euler-characteristic identity up to
@@ -35,7 +35,6 @@ from . import taylor
 from .monomials import Monomial, MonomialIdeal, Variable, thermometer_masks
 from .simplicial import (
     SimplicialComplexOnSupport,
-    _popcount,
     homology_ranks_of_masks,
     maximalize,
     nerve_face_masks,
@@ -43,7 +42,6 @@ from .simplicial import (
 
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
-DIRECT_FACE_LIMIT = 256
 # Single-cell classes are cross-checked against the strand path: all of
 # them up to FULL_CHECK_LIMIT generators, beyond that a fixed-seed sample
 # of SAMPLE_CHECKS classes with at most SAMPLE_MAX_SIZE members (the nerve
@@ -83,6 +81,11 @@ def _check_generator_guard(I: MonomialIdeal) -> None:
 
 
 def _check_ground_guard(variables: int) -> None:
+    """Refuse a strand ground set of more than ``MAX_STRAND_GROUND`` variables.
+
+    ``strand_complex`` lists up to 2^variables faces.  ``betti_table``
+    applies the same bound to supp(I), though its nerve path needs none.
+    """
     if variables > MAX_STRAND_GROUND:
         raise GuardError(
             f"strand ground set has {variables} variables; the guard allows {MAX_STRAND_GROUND}"
@@ -323,27 +326,13 @@ def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
 def _strand_homology(facets: list[int]) -> dict[int, int]:
     """Nonzero reduced homology ranks of a union of full simplices.
 
-    Small unions are enumerated literally (the boundary-matrix path);
-    large ones are swapped for the nerve of the cover, which is homotopy
-    equivalent because all intersections of simplices are simplices.
+    The ranks are those of the nerve of the cover, which is homotopy
+    equivalent to the union because all intersections of simplices are
+    simplices.  The void union (no facets) has none.
     """
     if not facets:
         return {}
-    if facets == [0]:
-        return {-1: 1}
-    estimate = sum(1 << _popcount(f) for f in facets)
-    if estimate <= DIRECT_FACE_LIMIT:
-        faces: set[int] = set()
-        for f in facets:
-            sub = f
-            while True:
-                faces.add(sub)
-                if sub == 0:
-                    break
-                sub = (sub - 1) & f
-        ranks = homology_ranks_of_masks(faces)
-    else:
-        ranks = homology_ranks_of_masks(nerve_face_masks(facets))
+    ranks = homology_ranks_of_masks(nerve_face_masks(facets))
     return {d: r for d, r in ranks if r}
 
 
@@ -379,7 +368,7 @@ def betti_table(I: MonomialIdeal, *, check_euler: bool = True) -> BettiTable:
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
     sup, gen_vecs = _vectorize(I)
-    # The lcm of all generators is a candidate whose strand spans supp(I).
+    # The strand at the lcm of all generators spans supp(I).
     _check_ground_guard(len(sup))
     masks, slots = thermometer_masks(gen_vecs)
     m = len(gen_vecs)

@@ -107,10 +107,6 @@ class WeightedDigraph:
             raise ValueError(f"unknown vertex {v!r}")
         return self._index[v]
 
-    def out_neighbors(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return tuple(self._out[v])
-
     def in_neighbors(self, v: str) -> tuple[str, ...]:
         self._require(v)
         return tuple(self._in[v])

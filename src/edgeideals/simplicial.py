@@ -14,10 +14,6 @@ from typing import Iterable, Sequence
 from .monomials import Variable
 
 
-def _popcount(x: int) -> int:
-    return bin(x).count("1")
-
-
 def _submasks(mask: int):
     """All submasks of ``mask``, including 0 and ``mask`` itself."""
     sub = mask
@@ -30,7 +26,7 @@ def _submasks(mask: int):
 
 def maximalize(masks: Iterable[int]) -> tuple[int, ...]:
     """Drop masks contained in another mask; dedup; sorted output."""
-    uniq = sorted(set(masks), key=_popcount, reverse=True)
+    uniq = sorted(set(masks), key=int.bit_count, reverse=True)
     out: list[int] = []
     for m in uniq:
         if not any(m & f == m for f in out):
@@ -81,7 +77,7 @@ class SimplicialComplexOnSupport:
         """Dimension; -1 for the irrelevant complex.  Void complexes raise."""
         if self.is_void():
             raise ValueError("the void complex has no dimension")
-        return max(_popcount(f) for f in self.facets) - 1
+        return max(f.bit_count() for f in self.facets) - 1
 
     def face_masks(self) -> set[int]:
         out: set[int] = set()
@@ -104,9 +100,6 @@ class SimplicialComplexOnSupport:
                 return False
             m |= 1 << pos[v]
         return any(m & f == m for f in self.facets)
-
-    def face_count(self) -> int:
-        return len(self.face_masks())
 
     def __eq__(self, other) -> bool:
         return (
@@ -188,7 +181,7 @@ def homology_ranks_of_masks(face_masks: set[int]) -> list[tuple[int, int]]:
         raise ValueError("face set must contain the empty face")
     by_dim: dict[int, list[int]] = {}
     for m in face_masks:
-        by_dim.setdefault(_popcount(m) - 1, []).append(m)
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
     top = max(by_dim)
     for d in by_dim:
         by_dim[d].sort()
@@ -213,11 +206,6 @@ def reduced_homology_ranks(C: SimplicialComplexOnSupport) -> list[tuple[int, int
     if C.is_void():
         raise ValueError("cannot compute homology of the void complex")
     return homology_ranks_of_masks(C.face_masks())
-
-
-def full_simplex_faces(n: int) -> set[int]:
-    """All 2^n faces of the full simplex on n vertices (test helper)."""
-    return set(range(1 << n)) if n else {0}
 
 
 def nerve_face_masks(facets: Sequence[int]) -> set[int]:

@@ -218,15 +218,6 @@ class TestStructuralIdentities:
             I = random_ideal(rng, max_gens=5, max_exp=3)
             assert betti_table(I).entries == taylor_betti_table(I).entries
 
-    def test_direct_and_nerve_paths_agree(self, rng, monkeypatch):
-        for _ in range(6):
-            I = random_ideal(rng, max_gens=5, max_exp=3)
-            monkeypatch.setattr(betti_mod, "DIRECT_FACE_LIMIT", 10**9)
-            direct = betti_table(I)
-            monkeypatch.setattr(betti_mod, "DIRECT_FACE_LIMIT", 0)
-            nerve = betti_table(I)
-            assert direct == nerve
-
 
 class TestEulerCheck:
     def test_passes_on_engine_tables(self, rng):
@@ -307,21 +298,30 @@ class TestLcmClasses:
     def test_engine_matches_taylor_oracle(self, I):
         assert betti_table(I) == taylor_betti_table(I)
 
-    def test_single_cell_classes_match_literal_strands(self, rng):
+    def test_every_class_matches_literal_strands(self, rng):
+        # the nerve path of the engine against literal face enumeration
         ideals = [edge_ideal(f.graph) for f in FIXTURES.values()]
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
-        checked = 0
+        singles = shared = 0
         for I in ideals:
             sup, gen_vecs = betti_mod._vectorize(I)
             masks, slots = thermometer_masks(gen_vecs)
             for U, lcm, single in betti_mod._lcm_classes(masks):
-                if not single:
-                    continue
-                b = Monomial(dict(zip(sup, betti_mod._exponents(lcm, slots))))
+                bvec = betti_mod._exponents(lcm, slots)
+                b = Monomial(dict(zip(sup, bvec)))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
-                assert ranks == {U.bit_count() - 2: 1}
-                checked += 1
-        assert checked > 100
+                assert betti_mod._strand_homology(betti_mod._strand_facets(gen_vecs, bvec)[1]) == ranks
+                if single:
+                    assert ranks == {U.bit_count() - 2: 1}
+                    singles += 1
+                else:
+                    shared += 1
+        assert singles > 100
+        assert shared > 10
+
+    def test_strand_homology_of_void_and_irrelevant_complexes(self):
+        assert betti_mod._strand_homology([]) == {}
+        assert betti_mod._strand_homology([0]) == {-1: 1}
 
     @pytest.mark.parametrize("m", [6, 12])
     def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, m):

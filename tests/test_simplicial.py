@@ -9,7 +9,6 @@ from edgeideals.simplicial import (
     SimplicialComplexOnSupport,
     boundary_matrix,
     exact_rank,
-    full_simplex_faces,
     homology_ranks_of_masks,
     maximalize,
     nerve_face_masks,
@@ -135,6 +134,11 @@ def test_exact_rank_known_values():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+
+
+def full_simplex_faces(n: int) -> set[int]:
+    """All 2^n faces of the full simplex on n vertices."""
+    return set(range(1 << n)) if n else {0}
 
 
 def test_boundary_matrix_squares_to_zero():
