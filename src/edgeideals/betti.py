@@ -353,7 +353,7 @@ def _check_single_cell(gen_vecs: list[tuple[int, ...]], b: tuple[int, ...], size
         )
 
 
-def betti_table(I: MonomialIdeal, *, check_euler: bool = True) -> BettiTable:
+def betti_table(I: MonomialIdeal) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention).
 
     β_{i,j}(I) sums, over the lcm classes of total degree j, one cell per
@@ -410,7 +410,7 @@ def betti_table(I: MonomialIdeal, *, check_euler: bool = True) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if check_euler and m <= taylor.TAYLOR_GUARD:
+    if m <= taylor.TAYLOR_GUARD:
         check = taylor.euler_characteristic_check(I, table)
         if not check.ok:
             raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")

@@ -2,9 +2,12 @@
 
 Exit codes: 0 = ran, asserted checks passed; 1 = assertion failure
 (theorem-applicable mismatch, fixture mismatch, or splitting identity
-failure); 2 = usage or parse error; 3 = sizing guard.  JSON output is
-canonical (sorted keys) and byte-identical across runs of the same
-seeded command; ``verify`` adds its elapsed time unless given --no-timing.
+failure); 2 = usage or parse error; 3 = sizing guard.  A tripped guard
+propagates out of the engine to ``main``, which alone turns it into one
+``sizing guard:`` line on stderr and exit 3 for every subcommand, with
+nothing on stdout.  JSON output is canonical (sorted keys) and
+byte-identical across runs of the same seeded command; ``verify`` adds
+its elapsed time unless given --no-timing.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from .formulas import (
     split_and_check,
     verify_formula,
 )
-from .monomials import IdealSyntaxError, parse_ideal
+from .monomials import parse_ideal
 
 EXIT_OK = 0
 EXIT_ASSERTION = 1
@@ -138,11 +141,9 @@ def _campaign_markdown(report: CampaignReport) -> str:
         "|---|-------|----------|----------|---------|---------|---------|",
     ]
     for idx, r in enumerate(report.reports):
-        c_reg = r.computed.reg if r.computed else "-"
-        c_pd = r.computed.pd if r.computed else "-"
         lines.append(
-            f"| {idx} | {r.graph_class.tag.value} | {c_reg} | {r.prediction.reg_pred} "
-            f"| {c_pd} | {r.prediction.pd_pred} | {r.verdict} |"
+            f"| {idx} | {r.graph_class.tag.value} | {r.computed.reg} | {r.prediction.reg_pred} "
+            f"| {r.computed.pd} | {r.prediction.pd_pred} | {r.verdict} |"
         )
     if report.elapsed_seconds is not None:
         lines.append("")
@@ -153,11 +154,9 @@ def _campaign_markdown(report: CampaignReport) -> str:
 def _campaign_csv(report: CampaignReport) -> str:
     rows = ["index,class,vertices,edges,reg_computed,reg_predicted,pd_computed,pd_predicted,verdict"]
     for idx, r in enumerate(report.reports):
-        c_reg = r.computed.reg if r.computed else ""
-        c_pd = r.computed.pd if r.computed else ""
         rows.append(
             f"{idx},{r.graph_class.tag.value},{len(r.graph.vertices)},{len(r.graph.edges)},"
-            f"{c_reg},{r.prediction.reg_pred},{c_pd},{r.prediction.pd_pred},{r.verdict}"
+            f"{r.computed.reg},{r.prediction.reg_pred},{r.computed.pd},{r.prediction.pd_pred},{r.verdict}"
         )
     return "\n".join(rows) + "\n"
 
@@ -186,18 +185,14 @@ def _cmd_compute(args) -> int:
     if args.ideal:
         try:
             ideal = parse_ideal(args.ideal)
-        except IdealSyntaxError as exc:
+        except ValueError as exc:
             print(f"ideal parse error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         if ideal.is_zero():
             print("the zero ideal has no invariants", file=sys.stderr)
             return EXIT_USAGE
-        try:
-            table = betti_table(ideal)
-            summary = invariants(ideal, table)
-        except GuardError as exc:
-            print(f"sizing guard: {exc}", file=sys.stderr)
-            return EXIT_GUARD
+        table = betti_table(ideal)
+        summary = invariants(ideal, table)
         payload = {
             "input": args.ideal,
             "ideal": str(ideal),
@@ -225,12 +220,8 @@ def _cmd_compute(args) -> int:
     if not D.edges:
         print("graph input error: the edge set is empty", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        table = betti_table(edge_ideal(D))
-        report = verify_formula(D, table)
-    except GuardError as exc:
-        print(f"sizing guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    table = betti_table(edge_ideal(D))
+    report = verify_formula(D, table)
     if args.format == "md":
         print(report.to_markdown())
         print("\n```\n" + table.render_grid() + "\n```")
@@ -243,11 +234,7 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_repro(args) -> int:
-    try:
-        ok, lines = run_repro(args.example)
-    except GuardError as exc:
-        print(f"sizing guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    ok, lines = run_repro(args.example)
     for line in lines:
         print(f"[{args.example}] {line}")
     print(f"[{args.example}] {'PASS' if ok else 'FAIL'}")
@@ -273,11 +260,7 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        report = run_campaign(config, with_timing=not args.no_timing)
-    except GuardError as exc:
-        print(f"sizing guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+    report = run_campaign(config, with_timing=not args.no_timing)
     if args.format == "md":
         print(_campaign_markdown(report), end="")
     elif args.format == "csv":
@@ -302,9 +285,6 @@ def _cmd_splitting(args) -> int:
         edge = (parts[0].strip(), parts[1].strip())
     try:
         pair, verdict, extras = split_and_check(D, edge)
-    except GuardError as exc:
-        print(f"sizing guard: {exc}", file=sys.stderr)
-        return EXIT_GUARD
     except ValueError as exc:
         print(f"splitting error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -397,7 +377,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep those codes.
         return int(exc.code or 0)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except GuardError as exc:
+        print(f"sizing guard: {exc}", file=sys.stderr)
+        return EXIT_GUARD
 
 
 if __name__ == "__main__":

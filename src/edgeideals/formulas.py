@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import BettiTable, GuardError, InvariantSummary, betti_table, invariants
+from .betti import BettiTable, InvariantSummary, betti_table, invariants
 from .digraphs import (
     GraphClass,
     GraphClassTag,
@@ -93,7 +93,6 @@ VERDICT_PASS = "pass"
 VERDICT_FAIL = "FAIL"
 VERDICT_INAPPLICABLE_AGREE = "inapplicable-agree"
 VERDICT_INAPPLICABLE_MISMATCH = "inapplicable-mismatch"
-VERDICT_ENGINE_SKIPPED = "engine-skipped"
 
 
 @dataclass(frozen=True)
@@ -109,26 +108,10 @@ class InvariantReport:
     graph_class: GraphClass
     hypotheses: HypothesisReport
     prediction: FormulaPrediction
-    computed: InvariantSummary | None
+    computed: InvariantSummary
     verdict: str
-    engine_skipped: bool = False
-
-    def matches(self) -> bool | None:
-        if self.computed is None:
-            return None
-        return (
-            self.computed.reg == self.prediction.reg_pred
-            and self.computed.pd == self.prediction.pd_pred
-        )
 
     def to_json_dict(self) -> dict:
-        computed = None
-        if self.computed is not None:
-            computed = {
-                "reg": self.computed.reg,
-                "pd": self.computed.pd,
-                "depth": self.computed.depth_of_quotient,
-            }
         return {
             "graph": self.graph.to_json_dict(),
             "class": self.graph_class.tag.value,
@@ -136,7 +119,11 @@ class InvariantReport:
                 "satisfied": self.hypotheses.satisfied,
                 "violations": list(self.hypotheses.violations),
             },
-            "computed": computed,
+            "computed": {
+                "reg": self.computed.reg,
+                "pd": self.computed.pd,
+                "depth": self.computed.depth_of_quotient,
+            },
             "predicted": {
                 "reg": self.prediction.reg_pred,
                 "pd": self.prediction.pd_pred,
@@ -155,12 +142,9 @@ class InvariantReport:
             + (f" (violations: {', '.join(self.hypotheses.violations)})" if self.hypotheses.violations else ""),
             f"- predicted: reg = {p.reg_pred}, pd = {p.pd_pred}"
             + (f", depth = {p.depth_pred} (component count; caveated)" if p.depth_pred is not None else ""),
+            f"- computed: reg = {c.reg}, pd = {c.pd}, depth(S/I) = {c.depth_of_quotient}",
+            f"- verdict: **{self.verdict}**",
         ]
-        if c is None:
-            lines.append("- computed: skipped (sizing guard)")
-        else:
-            lines.append(f"- computed: reg = {c.reg}, pd = {c.pd}, depth(S/I) = {c.depth_of_quotient}")
-        lines.append(f"- verdict: **{self.verdict}**")
         return "\n".join(lines)
 
 
@@ -169,22 +153,12 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
 
     ``table`` is the Betti table of the edge ideal when the caller already
     has it (source weights never enter the edge ideal); otherwise it is
-    computed.  The report keeps only the invariants, not the table.
+    computed.  The report keeps only the invariants, not the table.  A
+    tripped sizing guard raises ``GuardError`` to the caller.
     """
     prediction = predict(D)
     Dn = normalize_source_weights(D)
-    try:
-        summary = invariants(edge_ideal(Dn), table)
-    except GuardError:
-        return InvariantReport(
-            graph=D,
-            graph_class=prediction.class_used,
-            hypotheses=check_hypotheses(Dn, prediction.class_used),
-            prediction=prediction,
-            computed=None,
-            verdict=VERDICT_ENGINE_SKIPPED,
-            engine_skipped=True,
-        )
+    summary = invariants(edge_ideal(Dn), table)
     match = (
         summary.reg == prediction.reg_pred and summary.pd == prediction.pd_pred
     )
@@ -206,10 +180,12 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
 class SplitPair:
     """Partition I(D)^P = J + K along one cycle edge, over the polarized ambient.
 
-    K is the (principal) polarized generator of the chosen cycle edge; J
-    is the polarization of the edge ideal of D minus that edge.
+    I is the polarized edge ideal I(D)^P itself; K is the (principal)
+    polarized generator of the chosen cycle edge; J is the polarization of
+    the edge ideal of D minus that edge.
     """
 
+    I: MonomialIdeal
     J: MonomialIdeal
     K: MonomialIdeal
     split_edge: tuple[str, str]
@@ -246,7 +222,7 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
     expected = {polarize_monomial(g) for g in edge_ideal(delete_edge(Dn, e)).generators}
     if set(J.generators) != expected:
         raise AssertionError("J is not the polarization of the edge ideal without the split edge")
-    return SplitPair(J=J, K=K, split_edge=e)
+    return SplitPair(I=polarized, J=J, K=K, split_edge=e)
 
 
 def _edge_generator(D: WeightedDigraph, t: str, h: str) -> Monomial:
@@ -320,14 +296,13 @@ def split_and_check(D: WeightedDigraph, e: tuple[str, str] | None = None):
     values Σw - |E| + 2 and |E| - 2 that the splitting argument predicts.
     """
     pair = build_split(D, e)
-    Dn = normalize_source_weights(D)
-    full = polarize(edge_ideal(Dn))
-    verdict = check_betti_splitting(full, pair.J, pair.K)
-    prediction = predict(Dn)
+    verdict = check_betti_splitting(pair.I, pair.J, pair.K)
+    prediction = predict(D)
     jk_reg = verdict.table_JK.reg()
     jk_pd = verdict.table_JK.pd()
     extras = {
-        "K_has_linear_resolution": has_linear_resolution(pair.K),
+        # linear: every nonzero entry lies in the one row j - i = deg K
+        "K_has_linear_resolution": len({j - i for i, j in verdict.table_K.entries}) == 1,
         "JK_reg": jk_reg,
         "JK_pd": jk_pd,
         "JK_reg_expected": prediction.sum_weights - prediction.edge_count + 2,

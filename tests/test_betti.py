@@ -330,7 +330,7 @@ class TestLcmClasses:
         assert (m <= betti_mod.FULL_CHECK_LIMIT) == (m == 6)
         monkeypatch.setattr(betti_mod, "_single_cell_homology", lambda size: {size - 2: 2})
         with pytest.raises(AssertionError, match="single-cell class"):
-            betti_table(oriented_cycle_ideal(m), check_euler=False)
+            betti_table(oriented_cycle_ideal(m))
 
     def test_memory_stays_small_on_a_sixteen_cycle(self):
         I = oriented_cycle_ideal(16)

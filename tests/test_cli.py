@@ -6,6 +6,7 @@ import pytest
 
 import edgeideals.betti as betti_mod
 import edgeideals.cli as cli_mod
+import edgeideals.formulas as formulas_mod
 from edgeideals.cli import (
     EXIT_ASSERTION,
     EXIT_GUARD,
@@ -74,6 +75,15 @@ class TestCompute:
         assert code == EXIT_USAGE
         assert "position" in err
 
+    @pytest.mark.parametrize("text", ["(1)", "(x_1_2)"])
+    def test_malformed_ideal_is_a_usage_error(self, capsys, text):
+        # the unit ideal and a reserved _<digits> base name are rejected
+        # by the ideal constructors, not the parser
+        code, out, err = run_cli(capsys, "compute", "--ideal", text)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("ideal parse error: ")
+
     def test_both_inputs_rejected(self, capsys, c3_path):
         code, _, err = run_cli(capsys, "compute", "--input", c3_path, "--ideal", "(x1)")
         assert code == EXIT_USAGE
@@ -101,19 +111,33 @@ class TestCompute:
         assert code == EXIT_USAGE
 
     def test_each_command_builds_one_table(self, capsys, c3_path, monkeypatch):
-        calls = []
-        real = betti_mod.betti_table
+        # one table per ideal: compute has one ideal; splitting has four
+        # (I, J, K, J∩K) and polarizes the edge ideal once
+        calls, polarized = [], []
+        real, real_polarize = betti_mod.betti_table, formulas_mod.polarize
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
+        def counting_polarize(*args, **kwargs):
+            polarized.append(args)
+            return real_polarize(*args, **kwargs)
+
         monkeypatch.setattr(betti_mod, "betti_table", counting)
         monkeypatch.setattr(cli_mod, "betti_table", counting)
-        for argv in (["compute", "--input", c3_path], ["compute", "--ideal", "(x1*x2, x2*x3)"]):
+        monkeypatch.setattr(formulas_mod, "betti_table", counting)
+        monkeypatch.setattr(formulas_mod, "polarize", counting_polarize)
+        for argv, tables in (
+            (["compute", "--input", c3_path], 1),
+            (["compute", "--ideal", "(x1*x2, x2*x3)"], 1),
+            (["splitting", "--input", c3_path], 4),
+        ):
             calls.clear()
+            polarized.clear()
             assert run_cli(capsys, *argv)[0] == EXIT_OK
-            assert len(calls) == 1
+            assert len(calls) == tables
+        assert len(polarized) == 1
 
     def test_no_timing_flag_is_only_on_verify(self, capsys, c3_path):
         for argv in (["compute", "--input", c3_path], ["splitting", "--input", c3_path]):
@@ -227,6 +251,25 @@ class TestSplitting:
         code, out, _ = run_cli(capsys, "splitting", "--input", c3_path, "--format", "md")
         assert code == EXIT_OK
         assert "Betti splitting" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--input", "GRAPH"],
+        ["verify", "--class", "OrientedCycle", "--count", "2", "--no-timing"],
+        ["repro", "3.4"],
+        ["splitting", "--input", "GRAPH"],
+    ],
+    ids=["compute", "verify", "repro", "splitting"],
+)
+def test_every_command_refuses_with_exit_3(capsys, monkeypatch, c3_path, argv):
+    monkeypatch.setenv("EIL_GUARD_GENS", "2")
+    code, out, err = run_cli(capsys, *[c3_path if a == "GRAPH" else a for a in argv])
+    assert code == EXIT_GUARD
+    assert out == ""
+    assert err.count("sizing guard:") == 1
+    assert "Traceback" not in err
 
 
 def test_module_entry_point_runs():

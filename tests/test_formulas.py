@@ -1,6 +1,6 @@
 import pytest
 
-from edgeideals.betti import betti_table
+from edgeideals.betti import GuardError, betti_table
 from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -128,12 +128,13 @@ class TestVerifyFormula:
         assert r.verdict == VERDICT_PASS
         assert r.prediction.depth_pred == 2  # caveated, never checked against the engine
 
-    def test_guard_skip_gives_partial_report(self, monkeypatch):
+    def test_guard_refuses_verification_but_not_prediction(self, monkeypatch):
+        # a refused engine gives no report at all; the closed forms need no engine
         monkeypatch.setenv("EIL_GUARD_GENS", "2")
-        r = verify_formula(cycle_graph(4))
-        assert r.engine_skipped and r.computed is None
-        assert r.verdict == "engine-skipped"
-        assert (r.prediction.reg_pred, r.prediction.pd_pred) == (5, 3)
+        with pytest.raises(GuardError, match="4 generators"):
+            verify_formula(cycle_graph(4))
+        p = predict(cycle_graph(4))
+        assert (p.reg_pred, p.pd_pred) == (5, 3)
 
     def test_report_json_shape(self):
         r = verify_formula(cycle_graph(3))
