@@ -2,12 +2,14 @@
 
 Exit codes: 0 = ran, asserted checks passed; 1 = assertion failure
 (theorem-applicable mismatch, fixture mismatch, or splitting identity
-failure); 2 = usage or parse error; 3 = sizing guard.  A tripped guard
-propagates out of the engine to ``main``, which alone turns it into one
-``sizing guard:`` line on stderr and exit 3 for every subcommand, with
-nothing on stdout.  JSON output is canonical (sorted keys) and
-byte-identical across runs of the same seeded command; ``verify`` adds
-its elapsed time unless given --no-timing.
+failure); 2 = usage or parse error, including a malformed
+``EIL_GUARD_GENS``, which ``main`` checks before any subcommand runs;
+3 = sizing guard.  A tripped guard propagates out of the engine to
+``main``, which alone turns it into one ``sizing guard:`` line on
+stderr and exit 3 for every subcommand, with nothing on stdout.  JSON
+output is canonical (sorted keys) and byte-identical across runs of the
+same seeded command; ``verify`` adds its elapsed time unless given
+--no-timing.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .betti import GuardError, betti_table, invariants
+from .betti import GuardError, betti_table, generator_guard, invariants
 from .digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -377,6 +379,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help; keep those codes.
         return int(exc.code or 0)
+    try:
+        generator_guard()
+    except ValueError as exc:
+        print(f"environment error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except GuardError as exc:

@@ -3,12 +3,14 @@
 Complexes are stored by their inclusion-maximal faces (facets) as
 bitmasks over an ordered ground set, which keeps downward closure true
 by construction.  Reduced rational homology ranks come from boundary
-matrices over the integers, eliminated fraction-free (Bareiss), so every
-rank is exact.
+matrices over the integers.  Their entries are 0 and ±1, with d+1
+nonzeros per column, so ``exact_rank`` reduces them as sparse integer
+rows, with no floats and no modular arithmetic: every rank is exact.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Sequence
 
 from .monomials import Variable
@@ -117,38 +119,51 @@ class SimplicialComplexOnSupport:
 
 
 def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by Bareiss elimination.
+    """Rank over the rationals of an integer matrix, by sparse row reduction.
 
-    Fraction-free: every intermediate entry is a minor of the input, and
-    the divisions are exact integer divisions.
+    Each row becomes a ``{column: entry}`` dict and is reduced against
+    the pivot rows found so far, each keyed by its lead column (its last
+    nonzero column).  While the row's lead column has a pivot with lead
+    entry p, and x is the row's lead entry:
+
+    - if p is ±1, subtract x·p times the pivot row;
+    - otherwise divide p and x by their gcd, set row = p·row - x·pivot,
+      and divide the row by the gcd of its entries.
+
+    Both steps are invertible over Q and stay in the integers, so the
+    rank is exact.  A row left nonzero becomes the pivot of its lead
+    column, and the rank is the number of pivots.  ``rows`` is not
+    modified.
     """
-    m = [row[:] for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
+    pivots: dict[int, dict[int, int]] = {}
+    for dense in rows:
+        row = {j: x for j, x in enumerate(dense) if x}
+        while row:
+            lead = max(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
                 break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        p = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            row, prow = m[r], m[rank]
-            x = row[col]
-            for c in range(col + 1, ncols):
-                row[c] = (p * row[c] - x * prow[c]) // prev
-            row[col] = 0
-        prev = p
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
+            x = row[lead]
+            p = pivot[lead]
+            unit = p == 1 or p == -1
+            if unit:
+                f = x * p
+            else:
+                g = gcd(p, x)
+                p, f = p // g, x // g
+                row = {j: p * y for j, y in row.items()}
+            for j, y in pivot.items():
+                v = row.get(j, 0) - f * y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            if not unit and row:
+                g = gcd(*row.values())
+                if g != 1:
+                    row = {j: y // g for j, y in row.items()}
+    return len(pivots)
 
 
 def boundary_matrix(upper: list[int], lower: list[int]) -> list[list[int]]:

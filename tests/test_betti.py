@@ -18,6 +18,7 @@ from edgeideals.betti import (
 )
 from edgeideals.fixtures import FIXTURES
 from edgeideals.digraphs import edge_ideal, random_instance
+from edgeideals.formulas import predict
 from edgeideals.monomials import (
     Monomial,
     Variable,
@@ -357,3 +358,28 @@ class TestLcmClasses:
         table = betti_table(I)
         monkeypatch.setattr(betti_mod, "betti_table", None)
         assert invariants(I, table) == InvariantSummary(11, 3, 0, 4)
+
+
+class TestEngineAgainstOracleAtFullCheckSizes:
+    """Every single-cell class is cross-checked here (m <= FULL_CHECK_LIMIT)."""
+
+    @pytest.mark.parametrize(
+        "tag, cycle_len, extra",
+        [
+            ("OrientedCycle", 9, 0),
+            ("OrientedCycle", 10, 0),
+            ("UnicyclicAttached", 5, 4),
+            ("UnicyclicAttached", 6, 4),
+        ],
+        ids=["cycle-9", "cycle-10", "attached-5+4", "attached-6+4"],
+    )
+    def test_engine_matches_taylor_and_closed_form(self, tag, cycle_len, extra):
+        D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(2, 3), seed=1)
+        I = edge_ideal(D)
+        assert len(I.generators) <= betti_mod.FULL_CHECK_LIMIT
+        table = betti_table(I)
+        assert table == taylor_betti_table(I)
+        p = predict(D)
+        summary = invariants(I, table)
+        assert p.applicable
+        assert (summary.reg, summary.pd) == (p.reg_pred, p.pd_pred)

@@ -272,6 +272,27 @@ def test_every_command_refuses_with_exit_3(capsys, monkeypatch, c3_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["x", "0"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--ideal", "(x1*x2)"],
+        ["compute", "--input", "GRAPH"],
+        ["verify", "--class", "OrientedCycle", "--count", "1", "--no-timing"],
+        ["repro", "3.4"],
+        ["splitting", "--input", "GRAPH"],
+    ],
+    ids=["compute-ideal", "compute-input", "verify", "repro", "splitting"],
+)
+def test_malformed_guard_env_is_a_usage_error(capsys, monkeypatch, c3_path, argv, value):
+    monkeypatch.setenv("EIL_GUARD_GENS", value)
+    code, out, err = run_cli(capsys, *[c3_path if a == "GRAPH" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("environment error: EIL_GUARD_GENS") == 1
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "edgeideals", "repro", "2.9"],

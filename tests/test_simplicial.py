@@ -115,17 +115,35 @@ def _rank_with_fractions(rows):
     return rank
 
 
-matrices = st.integers(min_value=1, max_value=5).flatmap(
+matrices = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.lists(
-        st.lists(st.integers(min_value=-4, max_value=4), min_size=n, max_size=n),
+        st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
         min_size=1,
-        max_size=5,
+        max_size=8,
     )
 )
 
 
+@st.composite
+def deficient_matrices(draw):
+    """Drawn rows followed by integer combinations of them, so the rank is short."""
+    rows = draw(matrices)
+    n = len(rows[0])
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        coeffs = draw(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=len(rows), max_size=len(rows))
+        )
+        rows.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+    return draw(st.permutations(rows))
+
+
 @given(matrices)
 def test_exact_rank_matches_fraction_elimination(rows):
+    assert exact_rank(rows) == _rank_with_fractions(rows)
+
+
+@given(deficient_matrices())
+def test_exact_rank_of_dependent_rows_matches_fraction_elimination(rows):
     assert exact_rank(rows) == _rank_with_fractions(rows)
 
 
@@ -134,6 +152,27 @@ def test_exact_rank_known_values():
     assert exact_rank([[1, 2], [2, 4]]) == 1
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+    assert exact_rank([]) == 0
+    # Non-unit entries; all but [[2, 0], [0, 3]] reach the non-unit pivot step.
+    assert exact_rank([[2, 3], [4, 6]]) == 1
+    assert exact_rank([[2, 0], [0, 3]]) == 2
+    assert exact_rank([[6, 10], [15, 25]]) == 1
+    assert exact_rank([[2, 3], [4, 7]]) == 2
+
+
+def test_exact_rank_leaves_its_argument_unchanged():
+    rows = [[2, 3, 0], [4, 6, 1], [6, 10, 5], [0, 0, 0]]
+    before = [row[:] for row in rows]
+    exact_rank(rows)
+    assert rows == before
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_boundary_of_a_simplex_is_a_sphere(n):
+    # Every proper face of the simplex on n vertices: the (n-2)-sphere.
+    faces = full_simplex_faces(n) - {(1 << n) - 1}
+    ranks = {d: r for d, r in homology_ranks_of_masks(faces) if r}
+    assert ranks == {n - 2: 1}
 
 
 def full_simplex_faces(n: int) -> set[int]:
