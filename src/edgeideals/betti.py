@@ -1,27 +1,40 @@
 """Graded Betti tables of monomial ideals, computed exactly.
 
 Every multigraded Betti number of I sits at the lcm of a set of minimal
-generators.  The engine walks the lcm classes: the generator subsets
-grouped by their lcm.  Each class has a largest member U, the closed set
-of all generators dividing lcm U, so closed sets and distinct lcms
-correspond one to one.  A depth-first search enumerates the closed sets
-with one frame per generator, the generators encoded as thermometer
-bitmasks so that an lcm is a bitwise OR and its degree a popcount.
+generators.  The generators are encoded as thermometer bitmasks, so that
+an lcm is a bitwise OR and its degree a popcount, and ``betti_table``
+takes one of two paths, chosen by the masks alone.
 
-When every member of U owns a bit that no other member covers, U is the
-only subset with its lcm.  The Taylor strand there is a single cell, so
-the class adds β_{|U|-1, deg lcm U} = 1 with no linear algebra.  Any
-other class goes through the strand complex at b = lcm U: the squarefree
-σ ⊆ supp(b) with x^{b-σ} ∈ I, whose reduced homology one dimension down
-is the Betti number at b.  The strand is a union of full simplices, one
-per generator dividing x^b, so its homology is read off the nerve of that
-cover (same homotopy type) through integer boundary matrices.
+Subset counts.  When every generator owns a bit that no other generator
+covers, I is Taylor-minimal: each generator subset S is the only one
+with its lcm, and its Taylor strand is a single cell, so β_{i,j}(I) is
+the number of subsets with |S| = i + 1 and deg lcm S = j.  These are
+the coefficients of T(t, u) = Σ_S t^{|S|} u^{deg lcm S}, which a
+frontier DP over the generators counts exactly.  Every edge ideal of a
+graph satisfying the paper's weight hypothesis that has been checked
+takes this path.
 
-Everything is exact, and the tables check themselves: row 0 against the
-generator degrees, the Euler-characteristic identity up to
-``taylor.TAYLOR_GUARD`` generators, and single-cell classes against the
-strand path (every one up to ``FULL_CHECK_LIMIT`` generators, a
-fixed-seed sample beyond).
+The lcm-class walk.  Otherwise the engine walks the lcm classes: the
+generator subsets grouped by their lcm.  Each class has a largest member
+U, the closed set of all generators dividing lcm U, so closed sets and
+distinct lcms correspond one to one.  A depth-first search enumerates the
+closed sets with one frame per generator.  A class whose only subset is
+U adds β_{|U|-1, deg lcm U} = 1 with no linear algebra.  Any other class
+goes through the strand complex at b = lcm U: the squarefree σ ⊆ supp(b)
+with x^{b-σ} ∈ I, whose reduced homology one dimension down is the Betti
+number at b.  The strand is a union of full simplices, one per generator
+dividing x^b, so its homology is read off the nerve of that cover (same
+homotopy type) through integer boundary matrices.
+
+Everything is exact, and the tables check themselves.  Both paths check
+row 0 against the generator degrees and, up to ``taylor.TAYLOR_GUARD``
+generators, the Euler-characteristic identity against the oracle's own
+subset walk.  The subset counts are also checked against the Taylor
+oracle up to ``FULL_CHECK_LIMIT`` generators, against the binomial
+marginals Σ_j T[k, j] = C(m, k) at every size, and on a fixed-seed
+sample of subsets through the strand path.  The walk checks its
+single-cell classes through the strand path: every one up to
+``FULL_CHECK_LIMIT`` generators, a fixed-seed sample beyond.
 """
 
 from __future__ import annotations
@@ -29,6 +42,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator, Mapping
 
 from . import taylor
@@ -42,10 +56,12 @@ from .simplicial import (
 
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
-# Single-cell classes are cross-checked against the strand path: all of
-# them up to FULL_CHECK_LIMIT generators, beyond that a fixed-seed sample
-# of SAMPLE_CHECKS classes with at most SAMPLE_MAX_SIZE members (the nerve
-# of a bigger class costs seconds).
+# Up to FULL_CHECK_LIMIT generators the subset counts are compared with
+# the Taylor oracle, and the walk sends every single-cell class through
+# the strand path.  Beyond it the walk checks a fixed-seed sample of
+# SAMPLE_CHECKS single-cell classes with at most SAMPLE_MAX_SIZE members
+# (the nerve of a bigger class costs seconds); the subset-count path
+# checks SAMPLE_CHECKS such subsets at every size.
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -353,24 +369,123 @@ def _check_single_cell(gen_vecs: list[tuple[int, ...]], b: tuple[int, ...], size
         )
 
 
-def betti_table(I: MonomialIdeal) -> BettiTable:
-    """The graded Betti table of I (``of_ideal`` convention).
+def _taylor_minimal(masks: list[int]) -> bool:
+    """True iff every generator owns a bit that no other generator covers.
 
-    β_{i,j}(I) sums, over the lcm classes of total degree j, one cell per
-    single-subset class U with |U| = i + 1 plus the strand homology rank
-    in dimension i - 1 of every other class.  Row 0 is asserted to match
-    the generator degree counts, single-cell classes are cross-checked
-    against the strand path, and (within ``taylor.TAYLOR_GUARD``
-    generators) the Euler-characteristic identity against the generator
-    subsets is asserted for every degree.
+    Then each generator subset is the only one with its lcm, so the
+    Taylor resolution is minimal; the full generator set is the binding
+    case, so checking it alone suffices.  Prefix and suffix ORs make this
+    O(m) mask operations.
     """
-    if I.is_zero():
-        return BettiTable("of_ideal", {})
-    _check_generator_guard(I)
-    sup, gen_vecs = _vectorize(I)
-    # The strand at the lcm of all generators spans supp(I).
-    _check_ground_guard(len(sup))
-    masks, slots = thermometer_masks(gen_vecs)
+    suffix = [0] * (len(masks) + 1)
+    for i in range(len(masks) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] | masks[i]
+    prefix = 0
+    for i, mask in enumerate(masks):
+        if not mask & ~(prefix | suffix[i + 1]):
+            return False
+        prefix |= mask
+    return True
+
+
+def _subset_polynomial(
+    masks: list[int], slots: list[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """T(t, u) = Σ_S t^{|S|} u^{deg lcm S} over all generator subsets S, as
+    {(|S|, degree): count}, the empty subset included.
+
+    deg lcm S is a sum over variables of the largest exponent in S, so a
+    frontier DP over the generators counts the subsets exactly.  The state
+    is the OR of the taken masks restricted to the open variables (seen,
+    and still to be seen again); after a variable's last generator its
+    bits are counted into the degree and cleared.  Generators go in BFS
+    order over shared variables, which keeps few variables open at once.
+    States never outnumber the subsets of the generators seen so far.
+    """
+    m = len(masks)
+    slot_masks = [((1 << width) - 1) << offset for offset, width in slots]
+    users = [[i for i in range(m) if masks[i] & slot] for slot in slot_masks]
+    order: list[int] = []
+    placed = [False] * m
+    for root in range(m):
+        if placed[root]:
+            continue
+        placed[root] = True
+        queue = [root]
+        for i in queue:  # grows while it is read: BFS from root
+            for slot, members in zip(slot_masks, users):
+                if masks[i] & slot:
+                    for j in members:
+                        if not placed[j]:
+                            placed[j] = True
+                            queue.append(j)
+        order += queue
+    closing = [0] * m  # position in order -> bits of the variables it closes
+    position = {i: pos for pos, i in enumerate(order)}
+    for slot, members in zip(slot_masks, users):
+        if members:
+            closing[max(position[i] for i in members)] |= slot
+    states = {(0, 0, 0): 1}  # (open bits of the lcm, |S|, closed degree) -> subsets
+    for pos, i in enumerate(order):
+        mask, close = masks[i], closing[pos]
+        step: dict[tuple[int, int, int], int] = {}
+        for (state, size, degree), count in states.items():
+            for bits, k in ((state, size), (state | mask, size + 1)):
+                done = bits & close
+                key = (bits ^ done, k, degree + done.bit_count())
+                step[key] = step.get(key, 0) + count
+        states = step
+    return {(size, degree): count for (_, size, degree), count in states.items()}
+
+
+def _minimal_table(
+    I: MonomialIdeal, gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
+) -> BettiTable:
+    """Table of a Taylor-minimal ideal: β_{i,j}(I) = [t^{i+1} u^j] T(t, u).
+
+    Checked against the Taylor oracle up to ``FULL_CHECK_LIMIT``
+    generators, against the binomial marginals Σ_j T[k, j] = C(m, k) at
+    every size, and on a fixed-seed sample of subsets through the strand
+    path (each subset is its own single-cell lcm class).
+    """
+    m = len(masks)
+    T = _subset_polynomial(masks, slots)
+    table = BettiTable("of_ideal", {(k - 1, j): c for (k, j), c in T.items() if k})
+    if m <= FULL_CHECK_LIMIT:
+        # .entries, not the tables: after a package reload the oracle's
+        # BettiTable can be a different class from this module's.
+        oracle = taylor.taylor_betti_table(I).entries
+        if table.entries != oracle:
+            raise AssertionError(
+                f"subset-count table {table.entries} differs from the Taylor oracle {oracle}"
+            )
+    marginals: dict[int, int] = {}
+    for (k, _), c in T.items():
+        marginals[k] = marginals.get(k, 0) + c
+    if marginals != {k: comb(m, k) for k in range(m + 1)}:
+        raise AssertionError(f"subset counts by size {marginals} are not the binomials C({m}, k)")
+    rng = random.Random(0)
+    for _ in range(SAMPLE_CHECKS):
+        subset = rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE)))
+        lcm = 0
+        for i in subset:
+            lcm |= masks[i]
+        if not T.get((len(subset), lcm.bit_count())):
+            raise AssertionError(f"subset {sorted(subset)} has no count at its lcm degree")
+        _check_single_cell(gen_vecs, _exponents(lcm, slots), len(subset))
+    return table
+
+
+def _walk_table(
+    gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
+) -> BettiTable:
+    """Table of any ideal from its lcm classes.
+
+    A single-subset class U adds β_{|U|-1, deg lcm U} = 1; every other
+    class adds the strand homology at its lcm.  Single-cell classes are
+    cross-checked against the strand path: all of them up to
+    ``FULL_CHECK_LIMIT`` generators, a fixed-seed reservoir sample beyond.
+    """
     m = len(gen_vecs)
     entries: dict[tuple[int, int], int] = {}
     cells: dict[tuple[int, int], int] = {}  # (|U|, degree) -> single-cell classes
@@ -401,7 +516,30 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     for (size, j), count in cells.items():
         for d, r in _single_cell_homology(size).items():
             entries[d + 1, j] = entries.get((d + 1, j), 0) + r * count
-    table = BettiTable("of_ideal", entries)
+    return BettiTable("of_ideal", entries)
+
+
+def betti_table(I: MonomialIdeal) -> BettiTable:
+    """The graded Betti table of I (``of_ideal`` convention).
+
+    A Taylor-minimal I (every generator owns a bit no other covers) has
+    its table read off the subset counts ``_subset_polynomial``; any other
+    I has its lcm classes walked.  Either way row 0 is asserted to match
+    the generator degree counts and, within ``taylor.TAYLOR_GUARD``
+    generators, the Euler-characteristic identity against the generator
+    subsets is asserted for every degree.
+    """
+    if I.is_zero():
+        return BettiTable("of_ideal", {})
+    _check_generator_guard(I)
+    sup, gen_vecs = _vectorize(I)
+    # The strand at the lcm of all generators spans supp(I).
+    _check_ground_guard(len(sup))
+    masks, slots = thermometer_masks(gen_vecs)
+    if _taylor_minimal(masks):
+        table = _minimal_table(I, gen_vecs, masks, slots)
+    else:
+        table = _walk_table(gen_vecs, masks, slots)
 
     by_degree: dict[int, int] = {}
     for g in I.generators:
@@ -410,7 +548,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if m <= taylor.TAYLOR_GUARD:
+    if len(gen_vecs) <= taylor.TAYLOR_GUARD:
         check = taylor.euler_characteristic_check(I, table)
         if not check.ok:
             raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")

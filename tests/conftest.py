@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import HealthCheck, settings
 
+from edgeideals.digraphs import WeightedDigraph, random_instance
 from edgeideals.monomials import Monomial, MonomialIdeal, Variable, make_ideal
 
 settings.register_profile(
@@ -32,6 +33,22 @@ def random_ideal(
     if not gens:
         gens = [Monomial({ambient[0]: 1})]
     return make_ideal(gens, ambient)
+
+
+GRAPH_CLASSES = ("RootedForest", "OrientedCycle", "UnicyclicAttached", "UnicyclicGeneral")
+
+
+def seeded_graph(tag: str, size: int, weights: tuple[int, int], seed: int) -> WeightedDigraph:
+    """A ``random_instance`` of class ``tag`` with about ``size`` edges."""
+    if tag == "RootedForest":
+        shape = dict(extra_vertices=size)
+    elif tag == "OrientedCycle":
+        shape = dict(cycle_len=size)
+    elif tag == "UnicyclicAttached":
+        shape = dict(cycle_len=size // 2 + 1, extra_vertices=size - size // 2 - 1)
+    else:
+        shape = dict(cycle_len=3, extra_vertices=size - 3)
+    return random_instance(tag, weight_range=weights, seed=seed, **shape)
 
 
 @pytest.fixture

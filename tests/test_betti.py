@@ -31,9 +31,9 @@ from edgeideals.monomials import (
     thermometer_masks,
 )
 from edgeideals.simplicial import reduced_homology_ranks
-from edgeideals.taylor import euler_characteristic_check, taylor_betti_table
+from edgeideals.taylor import TAYLOR_GUARD, euler_characteristic_check, taylor_betti_table
 
-from conftest import random_ideal
+from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
 
 
 class TestCandidateDegrees:
@@ -251,6 +251,7 @@ class TestRendering:
         assert "empty" in BettiTable("of_ideal", {}).render_grid()
 
 
+FULL_CHECK_LIMIT = betti_mod.FULL_CHECK_LIMIT
 AMBIENT5 = tuple(Variable(f"x{i}") for i in range(1, 6))
 
 
@@ -267,6 +268,11 @@ def small_ideals(draw):
 
 def oriented_cycle_ideal(m, seed=1):
     return edge_ideal(random_instance("OrientedCycle", cycle_len=m, weight_range=(2, 3), seed=seed))
+
+
+def certified(I):
+    """Whether betti_table takes the subset-count path on I."""
+    return betti_mod._taylor_minimal(thermometer_masks(betti_mod._vectorize(I)[1])[0])
 
 
 def brute_force_classes(masks):
@@ -324,14 +330,21 @@ class TestLcmClasses:
         assert betti_mod._strand_homology([]) == {}
         assert betti_mod._strand_homology([0]) == {-1: 1}
 
-    @pytest.mark.parametrize("m", [6, 12])
-    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, m):
-        # every single-cell class is checked up to FULL_CHECK_LIMIT
-        # generators, a sample of them above
-        assert (m <= betti_mod.FULL_CHECK_LIMIT) == (m == 6)
+    @pytest.mark.parametrize(
+        "source, full_check_limit",
+        [(6, FULL_CHECK_LIMIT), (12, FULL_CHECK_LIMIT), ("3.4", FULL_CHECK_LIMIT), ("3.4", 0)],
+        ids=["6", "12", "3.4-walk", "3.4-walk-sample"],
+    )
+    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, source, full_check_limit):
+        # The subset-count path checks a sample of subsets at every size; the
+        # walk checks every single-cell class up to FULL_CHECK_LIMIT
+        # generators and a reservoir sample of them above.
+        I = edge_ideal(FIXTURES[source].graph) if source == "3.4" else oriented_cycle_ideal(source)
+        assert certified(I) == (source != "3.4")
+        monkeypatch.setattr(betti_mod, "FULL_CHECK_LIMIT", full_check_limit)
         monkeypatch.setattr(betti_mod, "_single_cell_homology", lambda size: {size - 2: 2})
         with pytest.raises(AssertionError, match="single-cell class"):
-            betti_table(oriented_cycle_ideal(m))
+            betti_table(I)
 
     def test_memory_stays_small_on_a_sixteen_cycle(self):
         I = oriented_cycle_ideal(16)
@@ -361,7 +374,8 @@ class TestLcmClasses:
 
 
 class TestEngineAgainstOracleAtFullCheckSizes:
-    """Every single-cell class is cross-checked here (m <= FULL_CHECK_LIMIT)."""
+    """Minimal instances up to FULL_CHECK_LIMIT generators: the subset-count
+    table against the Taylor oracle and the closed forms."""
 
     @pytest.mark.parametrize(
         "tag, cycle_len, extra",
@@ -376,10 +390,69 @@ class TestEngineAgainstOracleAtFullCheckSizes:
     def test_engine_matches_taylor_and_closed_form(self, tag, cycle_len, extra):
         D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(2, 3), seed=1)
         I = edge_ideal(D)
-        assert len(I.generators) <= betti_mod.FULL_CHECK_LIMIT
+        assert len(I.generators) <= FULL_CHECK_LIMIT and certified(I)
         table = betti_table(I)
         assert table == taylor_betti_table(I)
         p = predict(D)
         summary = invariants(I, table)
         assert p.applicable
         assert (summary.reg, summary.pd) == (p.reg_pred, p.pd_pred)
+
+
+class TestSubsetCounts:
+    @given(small_ideals(), st.randoms(use_true_random=False))
+    def test_subset_polynomial_matches_brute_force(self, I, shuffler):
+        masks, slots = thermometer_masks(betti_mod._vectorize(I)[1])
+        want = {}
+        for size in range(len(masks) + 1):
+            for subset in combinations(masks, size):
+                lcm = 0
+                for mask in subset:
+                    lcm |= mask
+                want[size, lcm.bit_count()] = want.get((size, lcm.bit_count()), 0) + 1
+        assert betti_mod._subset_polynomial(masks, slots) == want
+        shuffler.shuffle(masks)
+        assert betti_mod._subset_polynomial(masks, slots) == want
+
+    @given(small_ideals())
+    def test_taylor_minimal_iff_every_class_is_single(self, I):
+        masks, _ = thermometer_masks(betti_mod._vectorize(I)[1])
+        singles = [single for _, single in brute_force_classes(masks).values()]
+        assert betti_mod._taylor_minimal(masks) == all(singles)
+
+    @pytest.mark.parametrize("m, check", [(6, "Taylor oracle"), (18, "binomial")])
+    def test_checks_catch_a_wrong_coefficient(self, monkeypatch, m, check):
+        # Above TAYLOR_GUARD the Euler check is skipped and the sampled
+        # subsets only need a nonzero count, so the marginals must fire.
+        assert (m > TAYLOR_GUARD) == (m == 18)
+        subset_polynomial = betti_mod._subset_polynomial
+
+        def skewed(masks, slots):
+            T = subset_polynomial(masks, slots)
+            full = max(key for key in T if key[0] == len(masks))
+            T[full] += 1
+            return T
+
+        I = oriented_cycle_ideal(m)
+        assert certified(I)
+        monkeypatch.setattr(betti_mod, "_subset_polynomial", skewed)
+        with pytest.raises(AssertionError, match=check):
+            betti_table(I)
+
+
+class TestTaylorMinimalPremise:
+    """Under the weight hypothesis (w >= 2 off the sources) every edge ideal
+    is Taylor-minimal and takes the subset-count path; the counterexample
+    fixtures are not and take the walk."""
+
+    @pytest.mark.parametrize("tag", GRAPH_CLASSES)
+    def test_hypothesis_instances_are_certified(self, tag):
+        for weights in ((2, 3), (2, 4)):
+            for seed in range(1, 11):
+                for size in (4, 10, 20, 30, 40):
+                    I = edge_ideal(seeded_graph(tag, size, weights, seed))
+                    assert certified(I), (weights, seed, size)
+
+    def test_fixtures_take_the_path_their_hypotheses_predict(self):
+        got = {ident: certified(edge_ideal(f.graph)) for ident, f in FIXTURES.items()}
+        assert got == {"2.9": True, "3.4": False, "3.6": False, "3.7": False}
