@@ -26,27 +26,26 @@ number at b.  The strand is a union of full simplices, one per generator
 dividing x^b, so its homology is read off the nerve of that cover (same
 homotopy type) through integer boundary matrices.
 
-Everything is exact, and the tables check themselves.  Both paths check
-row 0 against the generator degrees and, up to ``taylor.TAYLOR_GUARD``
-generators, the Euler-characteristic identity against the oracle's own
-subset walk.  The subset counts are also checked against the Taylor
-oracle up to ``FULL_CHECK_LIMIT`` generators, against the binomial
-marginals Σ_j T[k, j] = C(m, k) at every size, and on a fixed-seed
-sample of subsets through the strand path.  The walk checks its
-single-cell classes through the strand path: every one up to
-``FULL_CHECK_LIMIT`` generators, a fixed-seed sample beyond.
+Everything is exact, and one self-check policy covers both paths: row 0
+against the generator degrees, the whole table against the Taylor oracle
+up to ``FULL_CHECK_LIMIT`` generators, and a fixed-seed sample of single
+cells through the strand path.  A walked table must also satisfy the
+Euler-characteristic identity, its homology ranks against the subset
+counts T(-1, u).  The subset counts, for which that identity holds by
+construction, must match their degree moments instead.
 """
 
 from __future__ import annotations
 
 import os
 import random
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 from typing import Iterator, Mapping
 
 from . import taylor
-from .monomials import Monomial, MonomialIdeal, Variable, thermometer_masks
+from .monomials import Monomial, MonomialIdeal, Variable, subset_counts, thermometer_masks
 from .simplicial import (
     SimplicialComplexOnSupport,
     homology_ranks_of_masks,
@@ -56,12 +55,9 @@ from .simplicial import (
 
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
-# Up to FULL_CHECK_LIMIT generators the subset counts are compared with
-# the Taylor oracle, and the walk sends every single-cell class through
-# the strand path.  Beyond it the walk checks a fixed-seed sample of
-# SAMPLE_CHECKS single-cell classes with at most SAMPLE_MAX_SIZE members
-# (the nerve of a bigger class costs seconds); the subset-count path
-# checks SAMPLE_CHECKS such subsets at every size.
+# Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
+# oracle.  At every size SAMPLE_CHECKS single cells of at most SAMPLE_MAX_SIZE
+# generators go through the strand path (a bigger cell's nerve costs seconds).
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -388,82 +384,40 @@ def _taylor_minimal(masks: list[int]) -> bool:
     return True
 
 
-def _subset_polynomial(
-    masks: list[int], slots: list[tuple[int, int]]
-) -> dict[tuple[int, int], int]:
-    """T(t, u) = Σ_S t^{|S|} u^{deg lcm S} over all generator subsets S, as
-    {(|S|, degree): count}, the empty subset included.
+def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
+    """Assert the factorial degree moments Σ_j C(j, r)·T[k, j], r = 0, 1, 2.
 
-    deg lcm S is a sum over variables of the largest exponent in S, so a
-    frontier DP over the generators counts the subsets exactly.  The state
-    is the OR of the taken masks restricted to the open variables (seen,
-    and still to be seen again); after a variable's last generator its
-    bits are counted into the degree and cleared.  Generators go in BFS
-    order over shared variables, which keeps few variables open at once.
-    States never outnumber the subsets of the generators seen so far.
+    A k-subset misses bit b exactly when it avoids owners(b), the
+    generators whose mask has bit b.  With W bits, n = C(m, k) and
+    M(x) = C(m - |x|, k), the three moments are n, W·n - Σ_b M(owners b)
+    and C(W, 2)·n - (W - 1)·Σ_b M(owners b) + Σ_{b<b'} M(owners b ∪ owners b').
     """
-    m = len(masks)
-    slot_masks = [((1 << width) - 1) << offset for offset, width in slots]
-    users = [[i for i in range(m) if masks[i] & slot] for slot in slot_masks]
-    order: list[int] = []
-    placed = [False] * m
-    for root in range(m):
-        if placed[root]:
-            continue
-        placed[root] = True
-        queue = [root]
-        for i in queue:  # grows while it is read: BFS from root
-            for slot, members in zip(slot_masks, users):
-                if masks[i] & slot:
-                    for j in members:
-                        if not placed[j]:
-                            placed[j] = True
-                            queue.append(j)
-        order += queue
-    closing = [0] * m  # position in order -> bits of the variables it closes
-    position = {i: pos for pos, i in enumerate(order)}
-    for slot, members in zip(slot_masks, users):
-        if members:
-            closing[max(position[i] for i in members)] |= slot
-    states = {(0, 0, 0): 1}  # (open bits of the lcm, |S|, closed degree) -> subsets
-    for pos, i in enumerate(order):
-        mask, close = masks[i], closing[pos]
-        step: dict[tuple[int, int, int], int] = {}
-        for (state, size, degree), count in states.items():
-            for bits, k in ((state, size), (state | mask, size + 1)):
-                done = bits & close
-                key = (bits ^ done, k, degree + done.bit_count())
-                step[key] = step.get(key, 0) + count
-        states = step
-    return {(size, degree): count for (_, size, degree), count in states.items()}
+    m, W = len(masks), max(masks).bit_length()
+    owners = [sum(1 << i for i, mask in enumerate(masks) if mask >> b & 1) for b in range(W)]
+    single = Counter(x.bit_count() for x in owners)
+    pair = Counter((x | y).bit_count() for b, x in enumerate(owners) for y in owners[b + 1:])
+    got: dict[int, list[int]] = {}
+    for (k, j), c in T.items():
+        got[k] = [g + comb(j, r) * c for r, g in enumerate(got.get(k, (0, 0, 0)))]
+    want = {}
+    for k in range(m + 1):
+        n = comb(m, k)
+        missed = sum(c * comb(m - s, k) for s, c in single.items())
+        both = sum(c * comb(m - s, k) for s, c in pair.items())
+        want[k] = [n, W * n - missed, comb(W, 2) * n - (W - 1) * missed + both]
+    if got != want:
+        raise AssertionError(f"subset-count degree moments {got} differ from the bit owners' {want}")
 
 
 def _minimal_table(
-    I: MonomialIdeal, gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
+    gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
 ) -> BettiTable:
-    """Table of a Taylor-minimal ideal: β_{i,j}(I) = [t^{i+1} u^j] T(t, u).
-
-    Checked against the Taylor oracle up to ``FULL_CHECK_LIMIT``
-    generators, against the binomial marginals Σ_j T[k, j] = C(m, k) at
-    every size, and on a fixed-seed sample of subsets through the strand
-    path (each subset is its own single-cell lcm class).
-    """
+    """Table of a Taylor-minimal ideal: β_{i,j}(I) = [t^{i+1} u^j] T(t, u),
+    checked against its degree moments and on a fixed-seed sample of
+    subsets, each its own single-cell class, through the strand path."""
     m = len(masks)
-    T = _subset_polynomial(masks, slots)
-    table = BettiTable("of_ideal", {(k - 1, j): c for (k, j), c in T.items() if k})
-    if m <= FULL_CHECK_LIMIT:
-        # .entries, not the tables: after a package reload the oracle's
-        # BettiTable can be a different class from this module's.
-        oracle = taylor.taylor_betti_table(I).entries
-        if table.entries != oracle:
-            raise AssertionError(
-                f"subset-count table {table.entries} differs from the Taylor oracle {oracle}"
-            )
-    marginals: dict[int, int] = {}
-    for (k, _), c in T.items():
-        marginals[k] = marginals.get(k, 0) + c
-    if marginals != {k: comb(m, k) for k in range(m + 1)}:
-        raise AssertionError(f"subset counts by size {marginals} are not the binomials C({m}, k)")
+    T = subset_counts(masks, slots)
+    _check_moments(T, masks)
     rng = random.Random(0)
     for _ in range(SAMPLE_CHECKS):
         subset = rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE)))
@@ -473,7 +427,7 @@ def _minimal_table(
         if not T.get((len(subset), lcm.bit_count())):
             raise AssertionError(f"subset {sorted(subset)} has no count at its lcm degree")
         _check_single_cell(gen_vecs, _exponents(lcm, slots), len(subset))
-    return table
+    return BettiTable("of_ideal", {(k - 1, j): c for (k, j), c in T.items() if k})
 
 
 def _walk_table(
@@ -481,12 +435,10 @@ def _walk_table(
 ) -> BettiTable:
     """Table of any ideal from its lcm classes.
 
-    A single-subset class U adds β_{|U|-1, deg lcm U} = 1; every other
-    class adds the strand homology at its lcm.  Single-cell classes are
-    cross-checked against the strand path: all of them up to
-    ``FULL_CHECK_LIMIT`` generators, a fixed-seed reservoir sample beyond.
+    A single-subset class U adds β_{|U|-1, deg lcm U} = 1, checked on a
+    fixed-seed reservoir sample through the strand path; every other
+    class adds the strand homology at its lcm.
     """
-    m = len(gen_vecs)
     entries: dict[tuple[int, int], int] = {}
     cells: dict[tuple[int, int], int] = {}  # (|U|, degree) -> single-cell classes
     rng = random.Random(0)
@@ -497,9 +449,7 @@ def _walk_table(
         if single:
             size = U.bit_count()
             cells[size, j] = cells.get((size, j), 0) + 1
-            if m <= FULL_CHECK_LIMIT:
-                _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
-            elif size <= SAMPLE_MAX_SIZE:
+            if size <= SAMPLE_MAX_SIZE:
                 eligible += 1
                 if len(sample) < SAMPLE_CHECKS:
                     sample.append((size, lcm))
@@ -523,11 +473,9 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention).
 
     A Taylor-minimal I (every generator owns a bit no other covers) has
-    its table read off the subset counts ``_subset_polynomial``; any other
-    I has its lcm classes walked.  Either way row 0 is asserted to match
-    the generator degree counts and, within ``taylor.TAYLOR_GUARD``
-    generators, the Euler-characteristic identity against the generator
-    subsets is asserted for every degree.
+    its table read off ``subset_counts``; any other I has its lcm classes
+    walked.  Row 0, the Taylor oracle (up to ``FULL_CHECK_LIMIT``
+    generators) and, on a walk, the Euler identity are asserted.
     """
     if I.is_zero():
         return BettiTable("of_ideal", {})
@@ -537,9 +485,13 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     _check_ground_guard(len(sup))
     masks, slots = thermometer_masks(gen_vecs)
     if _taylor_minimal(masks):
-        table = _minimal_table(I, gen_vecs, masks, slots)
+        table = _minimal_table(gen_vecs, masks, slots)
     else:
         table = _walk_table(gen_vecs, masks, slots)
+        # On the subset counts this identity holds by construction.
+        check = taylor.euler_characteristic_check(I, table)
+        if not check.ok:
+            raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")
 
     by_degree: dict[int, int] = {}
     for g in I.generators:
@@ -548,10 +500,12 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if len(gen_vecs) <= taylor.TAYLOR_GUARD:
-        check = taylor.euler_characteristic_check(I, table)
-        if not check.ok:
-            raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")
+    if len(gen_vecs) <= FULL_CHECK_LIMIT:
+        # .entries, not the tables: after a package reload the oracle's
+        # BettiTable can be a different class from this module's.
+        oracle = taylor.taylor_betti_table(I).entries
+        if table.entries != oracle:
+            raise AssertionError(f"table {table.entries} differs from the Taylor oracle {oracle}")
     return table
 
 

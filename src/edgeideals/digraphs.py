@@ -145,10 +145,14 @@ class WeightedDigraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedDigraph":
         try:
-            vertices = [(v["name"], v["weight"]) for v in data["vertices"]]
+            # Variable() raises ValueError on a name no variable can have.
+            vertices = [(Variable(v["name"]).base, v["weight"]) for v in data["vertices"]]
             edges = [(e[0], e[1]) for e in data["edges"]]
         except (KeyError, TypeError, IndexError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
+        for name, weight in vertices:
+            if type(weight) is not int:  # int() would truncate 2.9 and accept true and "3"
+                raise ValueError(f"vertex {name} has weight {weight!r}; weights must be integers")
         return cls(vertices, edges)
 
     @classmethod

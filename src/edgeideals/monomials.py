@@ -267,6 +267,56 @@ def thermometer_masks(
     return masks, slots
 
 
+def subset_counts(
+    masks: list[int], slots: list[tuple[int, int]]
+) -> dict[tuple[int, int], int]:
+    """T(t, u) = Σ_S t^{|S|} u^{deg lcm S} over all generator subsets S, as
+    {(|S|, degree): count}, the empty subset included.
+
+    deg lcm S is a sum over variables of the largest exponent in S, so a
+    frontier DP over the generators counts the subsets exactly.  The state
+    is the OR of the taken masks restricted to the open variables (seen,
+    and still to be seen again); after a variable's last generator its
+    bits are counted into the degree and cleared.  Generators go in BFS
+    order over shared variables, which keeps few variables open at once.
+    States never outnumber the subsets of the generators seen so far.
+    """
+    m = len(masks)
+    slot_masks = [((1 << width) - 1) << offset for offset, width in slots]
+    users = [[i for i in range(m) if masks[i] & slot] for slot in slot_masks]
+    order: list[int] = []
+    placed = [False] * m
+    for root in range(m):
+        if placed[root]:
+            continue
+        placed[root] = True
+        queue = [root]
+        for i in queue:  # grows while it is read: BFS from root
+            for slot, members in zip(slot_masks, users):
+                if masks[i] & slot:
+                    for j in members:
+                        if not placed[j]:
+                            placed[j] = True
+                            queue.append(j)
+        order += queue
+    closing = [0] * m  # position in order -> bits of the variables it closes
+    position = {i: pos for pos, i in enumerate(order)}
+    for slot, members in zip(slot_masks, users):
+        if members:
+            closing[max(position[i] for i in members)] |= slot
+    states = {(0, 0, 0): 1}  # (open bits of the lcm, |S|, closed degree) -> subsets
+    for pos, i in enumerate(order):
+        mask, close = masks[i], closing[pos]
+        step: dict[tuple[int, int, int], int] = {}
+        for (state, size, degree), count in states.items():
+            for bits, k in ((state, size), (state | mask, size + 1)):
+                done = bits & close
+                key = (bits ^ done, k, degree + done.bit_count())
+                step[key] = step.get(key, 0) + count
+        states = step
+    return {(size, degree): count for (_, size, degree), count in states.items()}
+
+
 def intersect(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
     """Intersection of two monomial ideals over the same ambient.
 

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -28,6 +29,7 @@ from edgeideals.monomials import (
     parse_ideal,
     parse_monomial,
     polarize,
+    subset_counts,
     thermometer_masks,
 )
 from edgeideals.simplicial import reduced_homology_ranks
@@ -236,6 +238,18 @@ class TestEulerCheck:
         assert not check.ok
         assert 3 in check.mismatches()
 
+    def test_runs_above_the_oracle_guard(self):
+        # The subset side is T(-1, u), so 20 generators need no 2^20 walk.
+        I = oriented_cycle_ideal(20)
+        table = betti_table(I)
+        good = euler_characteristic_check(I, table)
+        assert good.ok
+        j = min(j for i, j in table.entries if i == 1)
+        wrong = dict(table.entries)
+        wrong[(1, j)] += 1  # quotient row 2: adds 1 to the alternating sum at j
+        bad = euler_characteristic_check(I, BettiTable("of_ideal", wrong))
+        assert bad.mismatches() == {j: (good.per_degree[j][0] + 1, good.per_degree[j][1])}
+
 
 class TestRendering:
     def test_grid_contains_totals_and_dots(self):
@@ -330,18 +344,13 @@ class TestLcmClasses:
         assert betti_mod._strand_homology([]) == {}
         assert betti_mod._strand_homology([0]) == {-1: 1}
 
-    @pytest.mark.parametrize(
-        "source, full_check_limit",
-        [(6, FULL_CHECK_LIMIT), (12, FULL_CHECK_LIMIT), ("3.4", FULL_CHECK_LIMIT), ("3.4", 0)],
-        ids=["6", "12", "3.4-walk", "3.4-walk-sample"],
-    )
-    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, source, full_check_limit):
-        # The subset-count path checks a sample of subsets at every size; the
-        # walk checks every single-cell class up to FULL_CHECK_LIMIT
-        # generators and a reservoir sample of them above.
+    @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
+    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, source):
+        # Both paths send a fixed-seed sample of single cells through the
+        # strand path at every size: subsets on the subset-count path, a
+        # reservoir of single-cell classes on the walk.
         I = edge_ideal(FIXTURES[source].graph) if source == "3.4" else oriented_cycle_ideal(source)
         assert certified(I) == (source != "3.4")
-        monkeypatch.setattr(betti_mod, "FULL_CHECK_LIMIT", full_check_limit)
         monkeypatch.setattr(betti_mod, "_single_cell_homology", lambda size: {size - 2: 2})
         with pytest.raises(AssertionError, match="single-cell class"):
             betti_table(I)
@@ -366,6 +375,34 @@ class TestLcmClasses:
             betti_table(make_ideal(gens, ambient))
         assert not walked
 
+    def test_euler_check_runs_on_a_walk_above_the_oracle_guard(self, monkeypatch):
+        # A non-minimal ideal of 18 generators: the chord x1*x3 owns no bit.
+        cycle = oriented_cycle_ideal(17)
+        I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
+        assert len(I.generators) == 18 and not certified(I)
+        row0 = BettiTable("of_ideal", Counter((0, g.degree()) for g in I.generators))
+        monkeypatch.setattr(betti_mod, "_walk_table", lambda *args: row0)
+        with pytest.raises(AssertionError, match="Euler-characteristic"):
+            betti_table(I)
+
+    def test_oracle_catches_what_row_0_and_euler_miss_on_a_walk(self, monkeypatch):
+        # +1 at (1, 9) and at (2, 9) keeps row 0 and every alternating sum.
+        I = edge_ideal(FIXTURES["3.4"].graph)
+        assert not certified(I)
+        walk_table = betti_mod._walk_table
+
+        def skewed(*args):
+            entries = dict(walk_table(*args).entries)
+            for key in ((1, 9), (2, 9)):
+                entries[key] = entries.get(key, 0) + 1
+            return BettiTable("of_ideal", entries)
+
+        gen_vecs = betti_mod._vectorize(I)[1]
+        assert euler_characteristic_check(I, skewed(gen_vecs, *thermometer_masks(gen_vecs))).ok
+        monkeypatch.setattr(betti_mod, "_walk_table", skewed)
+        with pytest.raises(AssertionError, match="Taylor oracle"):
+            betti_table(I)
+
     def test_invariants_reuse_a_given_table(self, monkeypatch):
         I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)")
         table = betti_table(I)
@@ -374,8 +411,10 @@ class TestLcmClasses:
 
 
 class TestEngineAgainstOracleAtFullCheckSizes:
-    """Minimal instances up to FULL_CHECK_LIMIT generators: the subset-count
-    table against the Taylor oracle and the closed forms."""
+    """Minimal instances up to TAYLOR_GUARD generators: the subset-count
+    table against the Taylor oracle and the closed forms.  Above
+    FULL_CHECK_LIMIT generators the engine no longer runs the oracle
+    itself, so this is the independent check of the subset counts there."""
 
     @pytest.mark.parametrize(
         "tag, cycle_len, extra",
@@ -384,13 +423,20 @@ class TestEngineAgainstOracleAtFullCheckSizes:
             ("OrientedCycle", 10, 0),
             ("UnicyclicAttached", 5, 4),
             ("UnicyclicAttached", 6, 4),
+            ("OrientedCycle", 12, 0),
+            ("OrientedCycle", 14, 0),
+            ("OrientedCycle", 16, 0),
+            ("UnicyclicAttached", 7, 7),
         ],
-        ids=["cycle-9", "cycle-10", "attached-5+4", "attached-6+4"],
+        ids=[
+            "cycle-9", "cycle-10", "attached-5+4", "attached-6+4",
+            "cycle-12", "cycle-14", "cycle-16", "attached-7+7",
+        ],
     )
     def test_engine_matches_taylor_and_closed_form(self, tag, cycle_len, extra):
         D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(2, 3), seed=1)
         I = edge_ideal(D)
-        assert len(I.generators) <= FULL_CHECK_LIMIT and certified(I)
+        assert len(I.generators) <= TAYLOR_GUARD and certified(I)
         table = betti_table(I)
         assert table == taylor_betti_table(I)
         p = predict(D)
@@ -410,9 +456,9 @@ class TestSubsetCounts:
                 for mask in subset:
                     lcm |= mask
                 want[size, lcm.bit_count()] = want.get((size, lcm.bit_count()), 0) + 1
-        assert betti_mod._subset_polynomial(masks, slots) == want
+        assert subset_counts(masks, slots) == want
         shuffler.shuffle(masks)
-        assert betti_mod._subset_polynomial(masks, slots) == want
+        assert subset_counts(masks, slots) == want
 
     @given(small_ideals())
     def test_taylor_minimal_iff_every_class_is_single(self, I):
@@ -420,22 +466,38 @@ class TestSubsetCounts:
         singles = [single for _, single in brute_force_classes(masks).values()]
         assert betti_mod._taylor_minimal(masks) == all(singles)
 
-    @pytest.mark.parametrize("m, check", [(6, "Taylor oracle"), (18, "binomial")])
-    def test_checks_catch_a_wrong_coefficient(self, monkeypatch, m, check):
-        # Above TAYLOR_GUARD the Euler check is skipped and the sampled
-        # subsets only need a nonzero count, so the marginals must fire.
-        assert (m > TAYLOR_GUARD) == (m == 18)
-        subset_polynomial = betti_mod._subset_polynomial
-
+    @pytest.mark.parametrize(
+        "m, skew, check",
+        [
+            (6, (1, -3, 3, -1), "Taylor oracle"),
+            (18, (1,), "moment"),
+            (14, (-1, 1), "moment"),
+            (18, (-1, 1), "moment"),
+            (14, (-1, 2, -1), "moment"),
+            (18, (-1, 2, -1), "moment"),
+        ],
+        ids=["6-Taylor oracle", "18-binomial", "14-shift", "18-shift", "14-swap", "18-swap"],
+    )
+    def test_checks_catch_a_wrong_coefficient(self, monkeypatch, m, skew, check):
+        # Add skew to consecutive degrees of one subset size past row 0,
+        # keeping every count positive so that the sampled subsets still
+        # find theirs.  A count moved up one degree (the shift) or a
+        # mean-preserving swap moves a degree moment; a third difference
+        # moves none of the three, and only the Taylor oracle, up to
+        # FULL_CHECK_LIMIT generators, sees it.
         def skewed(masks, slots):
-            T = subset_polynomial(masks, slots)
-            full = max(key for key in T if key[0] == len(masks))
-            T[full] += 1
+            T = subset_counts(masks, slots)
+            k, j = next(
+                (k, j) for k, j in sorted(T)
+                if k >= 2 and all(T.get((k, j + d), 0) > max(0, -delta) for d, delta in enumerate(skew))
+            )
+            for d, delta in enumerate(skew):
+                T[k, j + d] += delta
             return T
 
         I = oriented_cycle_ideal(m)
         assert certified(I)
-        monkeypatch.setattr(betti_mod, "_subset_polynomial", skewed)
+        monkeypatch.setattr(betti_mod, "subset_counts", skewed)
         with pytest.raises(AssertionError, match=check):
             betti_table(I)
 

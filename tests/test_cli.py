@@ -293,6 +293,26 @@ def test_malformed_guard_env_is_a_usage_error(capsys, monkeypatch, c3_path, argv
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, weight",
+    [("x1", 2.9), ("x1", True), ("x1", "3"), ("a_1", 2)],
+    ids=["weight-2.9", "weight-true", "weight-string", "name-a_1"],
+)
+@pytest.mark.parametrize("command", ["compute", "splitting"])
+def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, command, name, weight):
+    # Neither a weight that int() would coerce nor a name no variable can
+    # have may reach the engine.
+    graph = json.loads(json.dumps(C3_JSON).replace('"x1"', json.dumps(name)))
+    graph["vertices"][0]["weight"] = weight
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run_cli(capsys, command, "--input", str(path))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("graph input error:") == 1
+    assert "Traceback" not in err
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "edgeideals", "repro", "2.9"],
