@@ -2,29 +2,23 @@
 
 Every multigraded Betti number of I sits at the lcm of a set of minimal
 generators.  The generators are encoded as thermometer bitmasks, so that
-an lcm is a bitwise OR and its degree a popcount, and ``betti_table``
-takes one of two paths, chosen by the masks alone.
+an lcm is a bitwise OR and its degree a popcount.  The subsets with one
+lcm form an lcm class, whose largest member U is the closed set of all
+generators dividing lcm U.
 
-Subset counts.  When every generator owns a bit that no other generator
-covers, I is Taylor-minimal: each generator subset S is the only one
-with its lcm, and its Taylor strand is a single cell, so β_{i,j}(I) is
-the number of subsets with |S| = i + 1 and deg lcm S = j.  These are
-the coefficients of T(t, u) = Σ_S t^{|S|} u^{deg lcm S}, which a
-frontier DP over the generators counts exactly.  Every edge ideal of a
-graph satisfying the paper's weight hypothesis that has been checked
-takes this path.
-
-The lcm-class walk.  Otherwise the engine walks the lcm classes: the
-generator subsets grouped by their lcm.  Each class has a largest member
-U, the closed set of all generators dividing lcm U, so closed sets and
-distinct lcms correspond one to one.  A depth-first search enumerates the
-closed sets with one frame per generator.  A class whose only subset is
-U adds β_{|U|-1, deg lcm U} = 1 with no linear algebra.  Any other class
-goes through the strand complex at b = lcm U: the squarefree σ ⊆ supp(b)
-with x^{b-σ} ∈ I, whose reduced homology one dimension down is the Betti
-number at b.  The strand is a union of full simplices, one per generator
-dividing x^b, so its homology is read off the nerve of that cover (same
-homotopy type) through integer boundary matrices.
+A table is single cells plus shared classes.  When every member of U
+owns a bit no other member covers (``_taylor_minimal``), U is the only
+subset in its class and adds β_{|U|-1, deg lcm U} = 1 with no linear
+algebra.  A shared class adds the reduced homology of the strand at
+b = lcm U: the squarefree σ ⊆ supp(b) with x^{b-σ} ∈ I, a union of full
+simplices, one per generator dividing x^b, whose homology is read off
+the nerve of that cover (same homotopy type) through integer boundary
+matrices.  When all of G(I) passes ``_taylor_minimal``, I is
+Taylor-minimal: every subset S is a single cell, counted by the
+coefficients of T(t, u) = Σ_S t^{|S|} u^{deg lcm S}, which a frontier DP
+over the generators computes exactly.  Every edge ideal of a graph
+satisfying the paper's weight hypothesis that has been checked takes
+this path.  Otherwise a depth-first search walks the closed sets.
 
 Everything is exact, and one self-check policy covers both paths: row 0
 against the generator degrees, the whole table against the Taylor oracle
@@ -45,7 +39,7 @@ from math import comb
 from typing import Iterator, Mapping
 
 from . import taylor
-from .monomials import Monomial, MonomialIdeal, Variable, subset_counts, thermometer_masks
+from .monomials import Monomial, MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
 from .simplicial import (
     SimplicialComplexOnSupport,
     homology_ranks_of_masks,
@@ -207,44 +201,30 @@ class InvariantSummary:
     ambient_variable_count: int
 
 
-def _support_order(I: MonomialIdeal) -> tuple[Variable, ...]:
-    sup = I.support()
-    return tuple(v for v in I.ambient if v in sup)
-
-
-def _vectorize(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple[int, ...]]]:
-    sup = _support_order(I)
-    return sup, [tuple(g.exponent(v) for v in sup) for g in I.generators]
-
-
 def _exponents(mask: int, slots: list[tuple[int, int]]) -> tuple[int, ...]:
     """Exponent vector of a thermometer mask."""
     return tuple((mask >> offset & ((1 << width) - 1)).bit_count() for offset, width in slots)
 
 
-def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int, bool]]:
-    """Every lcm class once, as (U, lcm mask, single).
+def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
+    """Every lcm class once, as (U, lcm mask).
 
-    U is a closed generator set, as a bitmask over generator indices.  A
-    child of U adds one generator i past the last one added and takes the
-    closure.  It is pruned when the closure takes in a skipped generator
-    j < i, because that closed set is reached from another parent (the
-    prefix-preserving closure extension of Uno et al.'s LCM miner).  Only
-    generators sharing a variable with i can join the closure: every other
-    non-member already failed to divide lcm U.
-
-    ``single`` says that every member owns a bit no other member covers,
-    i.e. that no proper subset of U has the same lcm.  Once false it stays
-    false below; when U grows by i alone, only members sharing a variable
-    with i can lose their own bits.  The search stack holds one frame per
-    level, so memory is O(m).
+    U is a closed generator set, as a bitmask over generator indices: all
+    the generators dividing lcm U, so every subset with that lcm lies in
+    U.  A child of U adds one generator i past the last one added and
+    takes the closure.  It is pruned when the closure takes in a skipped
+    generator j < i, because that closed set is reached from another
+    parent (the prefix-preserving closure extension of Uno et al.'s LCM
+    miner).  Only generators sharing a variable with i can join the
+    closure: every other non-member already failed to divide lcm U.  The
+    search stack holds one frame per level, so memory is O(m).
     """
     m = len(masks)
     shared = [sum(1 << j for j in range(m) if j != i and masks[i] & masks[j]) for i in range(m)]
-    # Frames: U, lcm mask, bits covered by two members or more, single, next i.
-    stack = [(0, 0, 0, True, 0)]
+    # Frames: U, lcm mask, next i.
+    stack = [(0, 0, 0)]
     while stack:
-        U, lcm, twice, single, start = stack.pop()
+        U, lcm, start = stack.pop()
         for i in range(start, m):
             if U >> i & 1:
                 continue
@@ -259,25 +239,16 @@ def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int, bool]]:
             if joined & ((1 << i) - 1):
                 continue
             child = U | 1 << i | joined
-            child_twice = twice | (lcm & masks[i])
-            child_single = single and not joined
-            rest = shared[i] & U if child_single else 0
-            while rest:
-                low = rest & -rest
-                if not masks[low.bit_length() - 1] & ~child_twice:
-                    child_single = False
-                    break
-                rest ^= low
-            yield child, child_lcm, child_single
-            stack.append((U, lcm, twice, single, i + 1))
-            stack.append((child, child_lcm, child_twice, child_single, i + 1))
+            yield child, child_lcm
+            stack.append((U, lcm, i + 1))
+            stack.append((child, child_lcm, i + 1))
             break
 
 
 def _candidate_vectors(gen_vecs: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
     """lcms of the nonempty generator subsets, one per lcm class."""
     masks, slots = thermometer_masks(gen_vecs)
-    return {_exponents(lcm, slots) for _, lcm, _ in _lcm_classes(masks)}
+    return {_exponents(lcm, slots) for _, lcm in _lcm_classes(masks)}
 
 
 def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
@@ -286,7 +257,7 @@ def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
     if I.is_zero():
         raise ValueError("the zero ideal has no candidate degrees")
     _check_generator_guard(I)
-    sup, gen_vecs = _vectorize(I)
+    sup, gen_vecs = exponent_vectors(I)
     return {
         Monomial({v: e for v, e in zip(sup, b) if e}) for b in _candidate_vectors(gen_vecs)
     }
@@ -324,7 +295,7 @@ def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
     if I.is_zero():
         raise ValueError("the zero ideal has no strands")
     _check_generator_guard(I)
-    sup, gen_vecs = _vectorize(I)
+    sup, gen_vecs = exponent_vectors(I)
     bvec = tuple(b.exponent(v) for v in sup)
     dividing = [g for g in gen_vecs if all(ge <= be for ge, be in zip(g, bvec))]
     if b.support() - set(sup) or not dividing or tuple(map(max, zip(*dividing))) != bvec:
@@ -368,10 +339,10 @@ def _check_single_cell(gen_vecs: list[tuple[int, ...]], b: tuple[int, ...], size
 def _taylor_minimal(masks: list[int]) -> bool:
     """True iff every generator owns a bit that no other generator covers.
 
-    Then each generator subset is the only one with its lcm, so the
-    Taylor resolution is minimal; the full generator set is the binding
-    case, so checking it alone suffices.  Prefix and suffix ORs make this
-    O(m) mask operations.
+    The one test of private bits: on G(I) it says that every subset is
+    the only one with its lcm, so the Taylor resolution is minimal; on the
+    members of a closed set U, that U is a single cell.  Prefix and suffix
+    ORs make this O(m) mask operations.
     """
     suffix = [0] * (len(masks) + 1)
     for i in range(len(masks) - 1, -1, -1):
@@ -409,45 +380,26 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
         raise AssertionError(f"subset-count degree moments {got} differ from the bit owners' {want}")
 
 
-def _minimal_table(
+def _walk_classes(
     gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
-) -> BettiTable:
-    """Table of a Taylor-minimal ideal: β_{i,j}(I) = [t^{i+1} u^j] T(t, u),
-    checked against its degree moments and on a fixed-seed sample of
-    subsets, each its own single-cell class, through the strand path."""
-    m = len(masks)
-    T = subset_counts(masks, slots)
-    _check_moments(T, masks)
-    rng = random.Random(0)
-    for _ in range(SAMPLE_CHECKS):
-        subset = rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE)))
-        lcm = 0
-        for i in subset:
-            lcm |= masks[i]
-        if not T.get((len(subset), lcm.bit_count())):
-            raise AssertionError(f"subset {sorted(subset)} has no count at its lcm degree")
-        _check_single_cell(gen_vecs, _exponents(lcm, slots), len(subset))
-    return BettiTable("of_ideal", {(k - 1, j): c for (k, j), c in T.items() if k})
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], list[tuple[int, int]]]:
+    """Single cells, shared-class entries and a cell sample, from the lcm classes.
 
-
-def _walk_table(
-    gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
-) -> BettiTable:
-    """Table of any ideal from its lcm classes.
-
-    A single-subset class U adds β_{|U|-1, deg lcm U} = 1, checked on a
-    fixed-seed reservoir sample through the strand path; every other
-    class adds the strand homology at its lcm.
+    A class whose members pass ``_taylor_minimal`` is a single cell,
+    counted by (|U|, degree) and offered to a fixed-seed reservoir sample
+    of (|U|, lcm mask).  Every other class adds its strand homology to the
+    shared entries, keyed (i, j) as in the table.
     """
-    entries: dict[tuple[int, int], int] = {}
     cells: dict[tuple[int, int], int] = {}  # (|U|, degree) -> single-cell classes
+    shared: dict[tuple[int, int], int] = {}
     rng = random.Random(0)
     sample: list[tuple[int, int]] = []  # reservoir of (|U|, lcm mask)
     eligible = 0
-    for U, lcm, single in _lcm_classes(masks):
+    for U, lcm in _lcm_classes(masks):
         j = lcm.bit_count()
-        if single:
-            size = U.bit_count()
+        members = [mask for k, mask in enumerate(masks) if U >> k & 1]
+        if _taylor_minimal(members):
+            size = len(members)
             cells[size, j] = cells.get((size, j), 0) + 1
             if size <= SAMPLE_MAX_SIZE:
                 eligible += 1
@@ -460,34 +412,52 @@ def _walk_table(
             continue
         _, facets = _strand_facets(gen_vecs, _exponents(lcm, slots))
         for d, r in _strand_homology(facets).items():
-            entries[d + 1, j] = entries.get((d + 1, j), 0) + r
-    for size, lcm in sample:
-        _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
-    for (size, j), count in cells.items():
-        for d, r in _single_cell_homology(size).items():
-            entries[d + 1, j] = entries.get((d + 1, j), 0) + r * count
-    return BettiTable("of_ideal", entries)
+            shared[d + 1, j] = shared.get((d + 1, j), 0) + r
+    return cells, shared, sample
 
 
 def betti_table(I: MonomialIdeal) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention).
 
-    A Taylor-minimal I (every generator owns a bit no other covers) has
-    its table read off ``subset_counts``; any other I has its lcm classes
-    walked.  Row 0, the Taylor oracle (up to ``FULL_CHECK_LIMIT``
+    Its single cells come from ``subset_counts`` when I is Taylor-minimal
+    and from ``_walk_classes`` otherwise, which also gives the shared
+    entries.  Both paths send a sample of single cells through the strand
+    path; row 0, the Taylor oracle (up to ``FULL_CHECK_LIMIT``
     generators) and, on a walk, the Euler identity are asserted.
     """
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
-    sup, gen_vecs = _vectorize(I)
+    sup, gen_vecs = exponent_vectors(I)
     # The strand at the lcm of all generators spans supp(I).
     _check_ground_guard(len(sup))
     masks, slots = thermometer_masks(gen_vecs)
-    if _taylor_minimal(masks):
-        table = _minimal_table(gen_vecs, masks, slots)
+    m, minimal = len(masks), _taylor_minimal(masks)
+    if minimal:
+        cells = subset_counts(masks, slots)
+        _check_moments(cells, masks)
+        del cells[0, 0]  # the empty subset
+        shared, sample = {}, []
+        rng = random.Random(0)
+        for _ in range(SAMPLE_CHECKS):
+            subset = rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE)))
+            lcm = 0
+            for i in subset:
+                lcm |= masks[i]
+            sample.append((len(subset), lcm))
     else:
-        table = _walk_table(gen_vecs, masks, slots)
+        cells, shared, sample = _walk_classes(gen_vecs, masks, slots)
+    for size, lcm in sample:
+        if not cells.get((size, lcm.bit_count())):
+            raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
+        _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
+    entries = dict(shared)
+    homology = {size: _single_cell_homology(size) for size in {size for size, _ in cells}}
+    for (size, j), count in cells.items():
+        for d, r in homology[size].items():
+            entries[d + 1, j] = entries.get((d + 1, j), 0) + r * count
+    table = BettiTable("of_ideal", entries)
+    if not minimal:
         # On the subset counts this identity holds by construction.
         check = taylor.euler_characteristic_check(I, table)
         if not check.ok:
@@ -500,7 +470,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if len(gen_vecs) <= FULL_CHECK_LIMIT:
+    if m <= FULL_CHECK_LIMIT:
         # .entries, not the tables: after a package reload the oracle's
         # BettiTable can be a different class from this module's.
         oracle = taylor.taylor_betti_table(I).entries

@@ -70,12 +70,14 @@ class WeightedDigraph:
     __slots__ = ("vertices", "edges", "_index", "_out", "_in")
 
     def __init__(self, vertices: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str]]):
-        self.vertices = tuple((str(n), int(w)) for n, w in vertices)
+        self.vertices = tuple((str(n), w) for n, w in vertices)
         self.edges = tuple((str(t), str(h)) for t, h in edges)
         names = [n for n, _ in self.vertices]
         if len(set(names)) != len(names):
             raise ValueError("repeated vertex name")
         for n, w in self.vertices:
+            if type(w) is not int:  # int() would truncate 2.9 and accept True and "3"
+                raise ValueError(f"vertex {n} has weight {w!r}; weights must be integers")
             if w < 1:
                 raise ValueError(f"vertex {n} has weight {w}; weights must be >= 1")
         self._index = {n: i for i, n in enumerate(names)}
@@ -147,12 +149,12 @@ class WeightedDigraph:
         try:
             # Variable() raises ValueError on a name no variable can have.
             vertices = [(Variable(v["name"]).base, v["weight"]) for v in data["vertices"]]
-            edges = [(e[0], e[1]) for e in data["edges"]]
-        except (KeyError, TypeError, IndexError) as exc:
+            edges = data["edges"]
+            for e in edges:
+                if type(e) is not list or len(e) != 2 or not all(type(x) is str for x in e):
+                    raise ValueError(f"malformed graph JSON: edge {e!r} is not a list of two vertex names")
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
-        for name, weight in vertices:
-            if type(weight) is not int:  # int() would truncate 2.9 and accept true and "3"
-                raise ValueError(f"vertex {name} has weight {weight!r}; weights must be integers")
         return cls(vertices, edges)
 
     @classmethod

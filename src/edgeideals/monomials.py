@@ -242,6 +242,13 @@ def lcm_of(a: Monomial, b: Monomial) -> Monomial:
     return a.lcm(b)
 
 
+def exponent_vectors(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple[int, ...]]]:
+    """supp(I) in ambient order, and each generator's exponents over it."""
+    sup = I.support()
+    order = tuple(v for v in I.ambient if v in sup)
+    return order, [tuple(g.exponent(v) for v in order) for g in I.generators]
+
+
 def thermometer_masks(
     vectors: Sequence[Sequence[int]],
 ) -> tuple[list[int], list[tuple[int, int]]]:

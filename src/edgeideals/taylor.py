@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomials import MonomialIdeal, subset_counts, thermometer_masks
+from .monomials import MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
 
 TAYLOR_GUARD = 16  # generators; the oracle visits all 2^m subsets
 
@@ -56,14 +56,9 @@ def rank_over_q(rows: list[list[int]]) -> int:
     return rank
 
 
-def _exponent_vectors(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    sup = [v for v in I.ambient if v in I.support()]
-    return [tuple(g.exponent(v) for v in sup) for g in I.generators]
-
-
 def _subset_lcms(I: MonomialIdeal) -> tuple[list[tuple[int, ...]], list[int]]:
     """Exponent-vector lcm and total degree for every generator subset mask."""
-    gens = _exponent_vectors(I)
+    _, gens = exponent_vectors(I)
     n = len(gens[0])
     m = len(gens)
     lcms: list[tuple[int, ...]] = [(0,) * n] * (1 << m)
@@ -152,7 +147,7 @@ def euler_characteristic_check(I: MonomialIdeal, table) -> EulerCheck:
     for (i, j), c in quotient.entries.items():
         lhs[j] = lhs.get(j, 0) + (c if i % 2 == 0 else -c)
     rhs: dict[int, int] = {}
-    for (k, j), c in subset_counts(*thermometer_masks(_exponent_vectors(I))).items():
+    for (k, j), c in subset_counts(*thermometer_masks(exponent_vectors(I)[1])).items():
         rhs[j] = rhs.get(j, 0) + (c if k % 2 == 0 else -c)
     per_degree = {
         j: (lhs.get(j, 0), rhs.get(j, 0)) for j in sorted(set(lhs) | set(rhs))

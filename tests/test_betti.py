@@ -23,6 +23,7 @@ from edgeideals.formulas import predict
 from edgeideals.monomials import (
     Monomial,
     Variable,
+    exponent_vectors,
     ideal_sum,
     make_ideal,
     multiply_external,
@@ -280,13 +281,32 @@ def small_ideals(draw):
     return make_ideal(draw(st.lists(monomials, min_size=count, max_size=count, unique=True)), AMBIENT5)
 
 
+@st.composite
+def minimal_ideals(draw):
+    """Up to ten generators, each a variable of its own (a private bit)
+    times a monomial in three shared variables: Taylor-minimal by
+    construction."""
+    count = draw(st.integers(1, 10))
+    own = tuple(Variable(f"x{i}") for i in range(1, count + 1))
+    shared = tuple(Variable(f"y{i}") for i in range(1, 4))
+    gens = [
+        Monomial({v: draw(st.integers(1, 2)), **{y: draw(st.integers(0, 3)) for y in shared}})
+        for v in own
+    ]
+    return make_ideal(gens, own + shared)
+
+
 def oriented_cycle_ideal(m, seed=1):
     return edge_ideal(random_instance("OrientedCycle", cycle_len=m, weight_range=(2, 3), seed=seed))
 
 
 def certified(I):
     """Whether betti_table takes the subset-count path on I."""
-    return betti_mod._taylor_minimal(thermometer_masks(betti_mod._vectorize(I)[1])[0])
+    return betti_mod._taylor_minimal(thermometer_masks(exponent_vectors(I)[1])[0])
+
+
+def members(U, masks):
+    return [mask for k, mask in enumerate(masks) if U >> k & 1]
 
 
 def brute_force_classes(masks):
@@ -310,10 +330,24 @@ def brute_force_classes(masks):
 class TestLcmClasses:
     @given(small_ideals())
     def test_enumeration_matches_brute_force(self, I):
-        masks, _ = thermometer_masks(betti_mod._vectorize(I)[1])
-        got = [(lcm, (U, single)) for U, lcm, single in betti_mod._lcm_classes(masks)]
+        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        got = [
+            (lcm, (U, betti_mod._taylor_minimal(members(U, masks))))
+            for U, lcm in betti_mod._lcm_classes(masks)
+        ]
         assert len(got) == len(dict(got))  # each lcm class exactly once
         assert dict(got) == brute_force_classes(masks)
+
+    @given(minimal_ideals())
+    def test_walk_of_a_minimal_ideal_is_its_subset_counts(self, I):
+        # Both paths in one shape: every subset a single cell, none shared.
+        gen_vecs = exponent_vectors(I)[1]
+        masks, slots = thermometer_masks(gen_vecs)
+        assert certified(I) and len(masks) <= 10
+        cells, shared, _ = betti_mod._walk_classes(gen_vecs, masks, slots)
+        counts = subset_counts(masks, slots)
+        del counts[0, 0]
+        assert (cells, shared) == (counts, {})
 
     @given(small_ideals())
     def test_engine_matches_taylor_oracle(self, I):
@@ -325,14 +359,14 @@ class TestLcmClasses:
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
         singles = shared = 0
         for I in ideals:
-            sup, gen_vecs = betti_mod._vectorize(I)
+            sup, gen_vecs = exponent_vectors(I)
             masks, slots = thermometer_masks(gen_vecs)
-            for U, lcm, single in betti_mod._lcm_classes(masks):
+            for U, lcm in betti_mod._lcm_classes(masks):
                 bvec = betti_mod._exponents(lcm, slots)
                 b = Monomial(dict(zip(sup, bvec)))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
                 assert betti_mod._strand_homology(betti_mod._strand_facets(gen_vecs, bvec)[1]) == ranks
-                if single:
+                if betti_mod._taylor_minimal(members(U, masks)):
                     assert ranks == {U.bit_count() - 2: 1}
                     singles += 1
                 else:
@@ -380,26 +414,25 @@ class TestLcmClasses:
         cycle = oriented_cycle_ideal(17)
         I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
         assert len(I.generators) == 18 and not certified(I)
-        row0 = BettiTable("of_ideal", Counter((0, g.degree()) for g in I.generators))
-        monkeypatch.setattr(betti_mod, "_walk_table", lambda *args: row0)
+        row0 = Counter((1, g.degree()) for g in I.generators)
+        monkeypatch.setattr(betti_mod, "_walk_classes", lambda *args: (row0, {}, []))
         with pytest.raises(AssertionError, match="Euler-characteristic"):
             betti_table(I)
 
     def test_oracle_catches_what_row_0_and_euler_miss_on_a_walk(self, monkeypatch):
-        # +1 at (1, 9) and at (2, 9) keeps row 0 and every alternating sum.
+        # +1 at (1, 9) and at (2, 9) keeps row 0 and every alternating sum;
+        # the oracle runs after both checks, so its message shows they passed.
         I = edge_ideal(FIXTURES["3.4"].graph)
         assert not certified(I)
-        walk_table = betti_mod._walk_table
+        walk_classes = betti_mod._walk_classes
 
         def skewed(*args):
-            entries = dict(walk_table(*args).entries)
+            cells, shared, sample = walk_classes(*args)
             for key in ((1, 9), (2, 9)):
-                entries[key] = entries.get(key, 0) + 1
-            return BettiTable("of_ideal", entries)
+                shared[key] = shared.get(key, 0) + 1
+            return cells, shared, sample
 
-        gen_vecs = betti_mod._vectorize(I)[1]
-        assert euler_characteristic_check(I, skewed(gen_vecs, *thermometer_masks(gen_vecs))).ok
-        monkeypatch.setattr(betti_mod, "_walk_table", skewed)
+        monkeypatch.setattr(betti_mod, "_walk_classes", skewed)
         with pytest.raises(AssertionError, match="Taylor oracle"):
             betti_table(I)
 
@@ -448,7 +481,7 @@ class TestEngineAgainstOracleAtFullCheckSizes:
 class TestSubsetCounts:
     @given(small_ideals(), st.randoms(use_true_random=False))
     def test_subset_polynomial_matches_brute_force(self, I, shuffler):
-        masks, slots = thermometer_masks(betti_mod._vectorize(I)[1])
+        masks, slots = thermometer_masks(exponent_vectors(I)[1])
         want = {}
         for size in range(len(masks) + 1):
             for subset in combinations(masks, size):
@@ -462,7 +495,7 @@ class TestSubsetCounts:
 
     @given(small_ideals())
     def test_taylor_minimal_iff_every_class_is_single(self, I):
-        masks, _ = thermometer_masks(betti_mod._vectorize(I)[1])
+        masks, _ = thermometer_masks(exponent_vectors(I)[1])
         singles = [single for _, single in brute_force_classes(masks).values()]
         assert betti_mod._taylor_minimal(masks) == all(singles)
 

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,16 +296,28 @@ def test_malformed_guard_env_is_a_usage_error(capsys, monkeypatch, c3_path, argv
 
 
 @pytest.mark.parametrize(
-    "name, weight",
-    [("x1", 2.9), ("x1", True), ("x1", "3"), ("a_1", 2)],
-    ids=["weight-2.9", "weight-true", "weight-string", "name-a_1"],
+    "name, weight, edge",
+    [
+        ("x1", 2.9, None),
+        ("x1", True, None),
+        ("x1", "3", None),
+        ("a_1", 2, None),
+        ("a", 2, "ab"),
+        ("x1", 2, ["x3", "x1", "zzz"]),
+    ],
+    ids=["weight-2.9", "weight-true", "weight-string", "name-a_1", "edge-string", "edge-triple"],
 )
 @pytest.mark.parametrize("command", ["compute", "splitting"])
-def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, command, name, weight):
-    # Neither a weight that int() would coerce nor a name no variable can
-    # have may reach the engine.
+def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, command, name, weight, edge):
+    # Neither a weight that int() would coerce, nor a name no variable can
+    # have, nor an edge that is not a list of two names may reach the engine.
     graph = json.loads(json.dumps(C3_JSON).replace('"x1"', json.dumps(name)))
     graph["vertices"][0]["weight"] = weight
+    if edge is not None:
+        # With b declared, "ab" could pass for the edge a -> b, and
+        # ["x3", "x1", "zzz"] for the cycle edge x3 -> x1.
+        graph["vertices"].append({"name": "b", "weight": 2})
+        graph["edges"][-1] = edge
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(graph))
     code, out, err = run_cli(capsys, command, "--input", str(path))
@@ -313,20 +327,22 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, command, name, 
     assert "Traceback" not in err
 
 
-def test_module_entry_point_runs():
-    proc = subprocess.run(
-        [sys.executable, "-m", "edgeideals", "repro", "2.9"],
-        capture_output=True,
-        text=True,
+def run_module(*argv):
+    """``python -m edgeideals`` in a subprocess, with src/ on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "edgeideals", *argv], env=env, capture_output=True, text=True
     )
+
+
+def test_module_entry_point_runs():
+    proc = run_module("repro", "2.9")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
 
 def test_usage_error_exit_code():
-    proc = subprocess.run(
-        [sys.executable, "-m", "edgeideals", "compute", "--format", "nope"],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_module("compute", "--format", "nope")
     assert proc.returncode == 2

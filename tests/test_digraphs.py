@@ -52,6 +52,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="self-loop"):
             WeightedDigraph([("a", 1)], [("a", "a")])
 
+    @pytest.mark.parametrize("weight", [2.9, True, "3"], ids=["2.9", "true", "string"])
+    def test_non_integer_weight_rejected(self, weight):
+        # The constructor, not only the JSON reader, refuses what int() would coerce.
+        with pytest.raises(ValueError, match="weights must be integers"):
+            WeightedDigraph([("a", 1), ("b", weight)], [("a", "b")])
+
     def test_degree_sum_is_twice_edge_count(self):
         for seed in range(5):
             D = random_instance(
