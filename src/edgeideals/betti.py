@@ -13,12 +13,14 @@ algebra.  A shared class adds the reduced homology of the strand at
 b = lcm U: the squarefree σ ⊆ supp(b) with x^{b-σ} ∈ I, a union of full
 simplices, one per generator dividing x^b, whose homology is read off
 the nerve of that cover (same homotopy type) through integer boundary
-matrices.  When all of G(I) passes ``_taylor_minimal``, I is
-Taylor-minimal: every subset S is a single cell, counted by the
-coefficients of T(t, u) = Σ_S t^{|S|} u^{deg lcm S}, which a frontier DP
-over the generators computes exactly.  Every edge ideal of a graph
-satisfying the paper's weight hypothesis that has been checked takes
-this path.  Otherwise a depth-first search walks the closed sets.
+matrices.  Its facets are read off the bitmasks as well: each variable
+of supp(b) is its slot's top bit in the lcm mask.  When all of G(I)
+passes ``_taylor_minimal``, I is Taylor-minimal: every subset S is a
+single cell, counted by the coefficients of T(t, u) = Σ_S t^{|S|}
+u^{deg lcm S}, which a frontier DP over the generators computes
+exactly.  Every edge ideal of a graph satisfying the paper's weight
+hypothesis that has been checked takes this path.  Otherwise a
+depth-first search walks the closed sets.
 
 Everything is exact, and one self-check policy covers both paths: row 0
 against the generator degrees, the whole table against the Taylor oracle
@@ -263,25 +265,18 @@ def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
     }
 
 
-def _strand_facets(
-    gen_vecs: list[tuple[int, ...]], b: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[int]]:
-    """Ground positions of supp(b) and the facet masks of the strand complex.
+def _strand_facets(masks: list[int], lcm: int, slots: list[tuple[int, int]]) -> list[int]:
+    """Facet masks of the strand complex at the lcm mask ``lcm``.
 
     Faces of the strand at b are the σ ⊆ supp(b) avoiding the tight set
     of some generator dividing x^b, so the facets are the complements of
-    those tight sets.
+    those tight sets.  Both are read off the thermometer bitmasks: each
+    variable of supp(b) is its slot's top bit in ``lcm``, and a generator
+    g dividing x^b (g | lcm == lcm) is tight at exactly the top bits it
+    covers.
     """
-    ground = tuple(i for i, e in enumerate(b) if e)
-    facets = []
-    for g in gen_vecs:
-        if all(ge <= be for ge, be in zip(g, b)):
-            mask = 0
-            for k, i in enumerate(ground):
-                if g[i] < b[i]:
-                    mask |= 1 << k
-            facets.append(mask)
-    return ground, list(maximalize(facets))
+    top = lcm & (~(lcm >> 1) | sum(1 << offset + width - 1 for offset, width in slots))
+    return list(maximalize(top & ~g for g in masks if g | lcm == lcm))
 
 
 def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
@@ -301,9 +296,10 @@ def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
     if b.support() - set(sup) or not dividing or tuple(map(max, zip(*dividing))) != bvec:
         raise ValueError(f"{b} is not a candidate degree of {I}")
     _check_ground_guard(len(b.support()))
-    ground_pos, facets = _strand_facets(gen_vecs, bvec)
-    ground = tuple(sup[i] for i in ground_pos)
-    return SimplicialComplexOnSupport(ground, facets)
+    ground = [i for i, e in enumerate(bvec) if e]
+    # A generator's facet: the variables where it falls short of b.
+    facets = [sum(1 << k for k, i in enumerate(ground) if g[i] < bvec[i]) for g in dividing]
+    return SimplicialComplexOnSupport([sup[i] for i in ground], facets)
 
 
 def _strand_homology(facets: list[int]) -> dict[int, int]:
@@ -326,13 +322,14 @@ def _single_cell_homology(size: int) -> dict[int, int]:
     return {size - 2: 1}
 
 
-def _check_single_cell(gen_vecs: list[tuple[int, ...]], b: tuple[int, ...], size: int) -> None:
-    """Assert that the strand path agrees with ``_single_cell_homology`` at b."""
-    got = _strand_homology(_strand_facets(gen_vecs, b)[1])
+def _check_single_cell(masks: list[int], lcm: int, slots: list[tuple[int, int]], size: int) -> None:
+    """Assert that the strand path agrees with ``_single_cell_homology`` at lcm."""
+    got = _strand_homology(_strand_facets(masks, lcm, slots))
     want = _single_cell_homology(size)
     if got != want:
         raise AssertionError(
-            f"single-cell class of {size} generators at {b}: strand homology {got}, shortcut {want}"
+            f"single-cell class of {size} generators at {_exponents(lcm, slots)}: "
+            f"strand homology {got}, shortcut {want}"
         )
 
 
@@ -381,7 +378,7 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
 
 
 def _walk_classes(
-    gen_vecs: list[tuple[int, ...]], masks: list[int], slots: list[tuple[int, int]]
+    masks: list[int], slots: list[tuple[int, int]]
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], list[tuple[int, int]]]:
     """Single cells, shared-class entries and a cell sample, from the lcm classes.
 
@@ -410,8 +407,7 @@ def _walk_classes(
                     if slot < SAMPLE_CHECKS:
                         sample[slot] = (size, lcm)
             continue
-        _, facets = _strand_facets(gen_vecs, _exponents(lcm, slots))
-        for d, r in _strand_homology(facets).items():
+        for d, r in _strand_homology(_strand_facets(masks, lcm, slots)).items():
             shared[d + 1, j] = shared.get((d + 1, j), 0) + r
     return cells, shared, sample
 
@@ -446,11 +442,11 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
                 lcm |= masks[i]
             sample.append((len(subset), lcm))
     else:
-        cells, shared, sample = _walk_classes(gen_vecs, masks, slots)
+        cells, shared, sample = _walk_classes(masks, slots)
     for size, lcm in sample:
         if not cells.get((size, lcm.bit_count())):
             raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        _check_single_cell(gen_vecs, _exponents(lcm, slots), size)
+        _check_single_cell(masks, lcm, slots, size)
     entries = dict(shared)
     homology = {size: _single_cell_homology(size) for size in {size for size, _ in cells}}
     for (size, j), count in cells.items():

@@ -172,6 +172,11 @@ def normalize_source_weights(D: WeightedDigraph) -> WeightedDigraph:
     return WeightedDigraph(vertices, D.edges)
 
 
+def edge_generator(D: WeightedDigraph, t: str, h: str) -> Monomial:
+    """The generator tail·head^{w(head)} of the edge (t, h)."""
+    return Monomial({Variable(t): 1}) * Monomial({Variable(h): D.weight(h)})
+
+
 def edge_ideal(D: WeightedDigraph) -> MonomialIdeal:
     """One generator tail·head^{w(head)} per edge, over ambient V(D).
 
@@ -183,10 +188,7 @@ def edge_ideal(D: WeightedDigraph) -> MonomialIdeal:
     if not D.edges:
         warnings.warn("graph has no edges; edge ideal is the zero ideal", stacklevel=2)
         return MonomialIdeal(ambient, ())
-    gens = []
-    for t, h in D.edges:
-        gens.append(Monomial({Variable(t): 1}) * Monomial({Variable(h): D.weight(h)}))
-    ideal = make_ideal(gens, ambient)
+    ideal = make_ideal([edge_generator(D, t, h) for t, h in D.edges], ambient)
     if len(ideal.generators) != len(D.edges):
         raise AssertionError("edge generators collapsed under divisibility")
     return ideal
@@ -342,6 +344,17 @@ def _random_forest_edges(n: int, rng: random.Random, prefix: str = "v") -> tuple
     return names, edges
 
 
+def _attach_trees(cyc: list[str], edges: list[tuple[str, str]], n: int, rng: random.Random) -> list[str]:
+    """Hang y1..yn in turn below a uniformly drawn earlier vertex, appending
+    their edges to ``edges``; returns the cycle vertices, then y1..yn."""
+    hosts = list(cyc)
+    for j in range(1, n + 1):
+        y = f"y{j}"
+        edges.append((hosts[rng.randrange(len(hosts))], y))
+        hosts.append(y)
+    return hosts
+
+
 def random_instance(
     class_tag: GraphClassTag | str,
     *,
@@ -387,19 +400,11 @@ def random_instance(
                     "an attached unicyclic instance needs >= 1 attached vertex "
                     "(0 degenerates to a bare oriented cycle)"
                 )
-            hosts = list(cyc)
-            for j in range(1, extra_vertices + 1):
-                y = f"y{j}"
-                edges.append((hosts[rng.randrange(len(hosts))], y))
-                hosts.append(y)
+            hosts = _attach_trees(cyc, edges, extra_vertices, rng)
             D = WeightedDigraph([(nm, 1) for nm in hosts], edges)
         else:
             attach = extra_vertices // 2
-            hosts = list(cyc)
-            for j in range(1, attach + 1):
-                y = f"y{j}"
-                edges.append((hosts[rng.randrange(len(hosts))], y))
-                hosts.append(y)
+            hosts = _attach_trees(cyc, edges, attach, rng)
             forest_n = max(2, extra_vertices - attach + 2)
             fnames, fedges = _random_forest_edges(forest_n, rng, prefix="z")
             D = WeightedDigraph(

@@ -26,13 +26,12 @@ from .digraphs import (
     classify,
     components,
     delete_edge,
+    edge_generator,
     edge_ideal,
     normalize_source_weights,
 )
 from .monomials import (
-    Monomial,
     MonomialIdeal,
-    Variable,
     intersect,
     make_ideal,
     polarize,
@@ -213,7 +212,7 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
     ideal = edge_ideal(Dn)
     polarized = polarize(ideal)
     t, h = e
-    k_gen = polarize_monomial(_edge_generator(Dn, t, h))
+    k_gen = polarize_monomial(edge_generator(Dn, t, h))
     remaining = [g for g in polarized.generators if g != k_gen]
     if len(remaining) != len(polarized.generators) - 1:
         raise AssertionError("split generator did not match exactly one polarized generator")
@@ -223,10 +222,6 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
     if set(J.generators) != expected:
         raise AssertionError("J is not the polarization of the edge ideal without the split edge")
     return SplitPair(I=polarized, J=J, K=K, split_edge=e)
-
-
-def _edge_generator(D: WeightedDigraph, t: str, h: str) -> Monomial:
-    return Monomial({Variable(t): 1}) * Monomial({Variable(h): D.weight(h)})
 
 
 @dataclass(frozen=True)

@@ -74,13 +74,13 @@ def _subset_lcms(I: MonomialIdeal) -> tuple[list[tuple[int, ...]], list[int]]:
 
 def taylor_betti_table(I: MonomialIdeal):
     """Betti table of I from Taylor strands (``of_ideal`` convention)."""
-    from .betti import BettiTable  # local import: the engine also imports us
+    from .betti import BettiTable, GuardError  # local import: the engine also imports us
 
     if I.is_zero():
         return BettiTable("of_ideal", {})
     m = len(I.generators)
     if m > TAYLOR_GUARD:
-        raise ValueError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
+        raise GuardError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
     lcms, _ = _subset_lcms(I)
 
     strands: dict[tuple[int, ...], list[int]] = {}

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import edgeideals.betti as betti_mod
+import edgeideals.taylor as taylor_mod
 from edgeideals.betti import (
     BettiTable,
     GuardError,
@@ -166,6 +167,15 @@ class TestGuards:
         monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "many")
         with pytest.raises(ValueError):
             betti_table(parse_ideal("(x1)"))
+
+    def test_oracle_refuses_with_guard_error_before_enumerating(self, monkeypatch):
+        I = parse_ideal("(" + ", ".join(f"x{i}" for i in range(1, TAYLOR_GUARD + 2)) + ")")
+        assert len(I.generators) == TAYLOR_GUARD + 1
+        listed = []
+        monkeypatch.setattr(taylor_mod, "_subset_lcms", lambda I: listed.append(I))
+        with pytest.raises(GuardError, match=f"refusing beyond 2\\^{TAYLOR_GUARD}"):
+            taylor_betti_table(I)
+        assert not listed
 
 
 class TestConventionTranslation:
@@ -341,10 +351,9 @@ class TestLcmClasses:
     @given(minimal_ideals())
     def test_walk_of_a_minimal_ideal_is_its_subset_counts(self, I):
         # Both paths in one shape: every subset a single cell, none shared.
-        gen_vecs = exponent_vectors(I)[1]
-        masks, slots = thermometer_masks(gen_vecs)
+        masks, slots = thermometer_masks(exponent_vectors(I)[1])
         assert certified(I) and len(masks) <= 10
-        cells, shared, _ = betti_mod._walk_classes(gen_vecs, masks, slots)
+        cells, shared, _ = betti_mod._walk_classes(masks, slots)
         counts = subset_counts(masks, slots)
         del counts[0, 0]
         assert (cells, shared) == (counts, {})
@@ -365,7 +374,7 @@ class TestLcmClasses:
                 bvec = betti_mod._exponents(lcm, slots)
                 b = Monomial(dict(zip(sup, bvec)))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
-                assert betti_mod._strand_homology(betti_mod._strand_facets(gen_vecs, bvec)[1]) == ranks
+                assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm, slots)) == ranks
                 if betti_mod._taylor_minimal(members(U, masks)):
                     assert ranks == {U.bit_count() - 2: 1}
                     singles += 1
@@ -417,6 +426,19 @@ class TestLcmClasses:
         row0 = Counter((1, g.degree()) for g in I.generators)
         monkeypatch.setattr(betti_mod, "_walk_classes", lambda *args: (row0, {}, []))
         with pytest.raises(AssertionError, match="Euler-characteristic"):
+            betti_table(I)
+
+    def test_sample_check_catches_a_wrong_certification_above_the_oracle_guard(self, monkeypatch):
+        # Certified by mistake, the 18 generators take the subset-count path.
+        # The strand of a sampled cell takes in every generator dividing its
+        # lcm, so where the chord x1*x3 divides it the strand path disagrees
+        # with the single-cell shortcut.  Strands built from the sampled
+        # subset alone would agree with it and let the wrong table through.
+        cycle = oriented_cycle_ideal(17)
+        I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
+        assert len(I.generators) == 18 and not certified(I)
+        monkeypatch.setattr(betti_mod, "_taylor_minimal", lambda masks: True)
+        with pytest.raises(AssertionError, match="single-cell class"):
             betti_table(I)
 
     def test_oracle_catches_what_row_0_and_euler_miss_on_a_walk(self, monkeypatch):
@@ -551,3 +573,30 @@ class TestTaylorMinimalPremise:
     def test_fixtures_take_the_path_their_hypotheses_predict(self):
         got = {ident: certified(edge_ideal(f.graph)) for ident, f in FIXTURES.items()}
         assert got == {"2.9": True, "3.4": False, "3.6": False, "3.7": False}
+
+
+class TestWeightOneCounterexamples:
+    """Weights 1..3 drop the hypothesis w >= 2: these 11-12-edge instances
+    are not certified, so they take the walk and its shared-class strands.
+    Above FULL_CHECK_LIMIT generators the engine no longer runs the oracle
+    itself, so it is run here; (reg, pd) is pinned against the closed forms."""
+
+    @pytest.mark.parametrize(
+        "tag, cycle_len, extra, seed, got, predicted",
+        [
+            ("OrientedCycle", 12, 0, 3, (12, 8), (11, 11)),
+            ("UnicyclicAttached", 6, 5, 3, (12, 9), (12, 10)),
+            ("UnicyclicGeneral", 4, 7, 5, (8, 6), (12, 10)),
+            ("RootedForest", 0, 12, 9, (12, 7), (13, 10)),
+        ],
+        ids=["cycle-12", "attached-6+5", "general-4+7", "forest-12"],
+    )
+    def test_walk_matches_oracle_and_breaks_the_closed_form(self, tag, cycle_len, extra, seed, got, predicted):
+        D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=seed)
+        I = edge_ideal(D)
+        assert betti_mod.FULL_CHECK_LIMIT < len(I.generators) <= 12 and not certified(I)
+        table = betti_table(I)
+        assert table == taylor_betti_table(I)
+        p = predict(D)
+        assert (table.reg(), table.pd()) == got
+        assert (p.reg_pred, p.pd_pred) == predicted
