@@ -144,7 +144,7 @@ def _campaign_markdown(report: CampaignReport) -> str:
     ]
     for idx, r in enumerate(report.reports):
         lines.append(
-            f"| {idx} | {r.graph_class.tag.value} | {r.computed.reg} | {r.prediction.reg_pred} "
+            f"| {idx} | {r.prediction.class_used.tag.value} | {r.computed.reg} | {r.prediction.reg_pred} "
             f"| {r.computed.pd} | {r.prediction.pd_pred} | {r.verdict} |"
         )
     if report.elapsed_seconds is not None:
@@ -157,7 +157,7 @@ def _campaign_csv(report: CampaignReport) -> str:
     rows = ["index,class,vertices,edges,reg_computed,reg_predicted,pd_computed,pd_predicted,verdict"]
     for idx, r in enumerate(report.reports):
         rows.append(
-            f"{idx},{r.graph_class.tag.value},{len(r.graph.vertices)},{len(r.graph.edges)},"
+            f"{idx},{r.prediction.class_used.tag.value},{len(r.graph.vertices)},{len(r.graph.edges)},"
             f"{r.computed.reg},{r.prediction.reg_pred},{r.computed.pd},{r.prediction.pd_pred},{r.verdict}"
         )
     return "\n".join(rows) + "\n"

@@ -56,7 +56,6 @@ class HypothesisReport:
 
     satisfied: bool
     violations: tuple[str, ...]
-    rule: str
 
 
 class WeightedDigraph:
@@ -174,7 +173,7 @@ def normalize_source_weights(D: WeightedDigraph) -> WeightedDigraph:
 
 def edge_generator(D: WeightedDigraph, t: str, h: str) -> Monomial:
     """The generator tail·head^{w(head)} of the edge (t, h)."""
-    return Monomial({Variable(t): 1}) * Monomial({Variable(h): D.weight(h)})
+    return Monomial({Variable(t): 1, Variable(h): D.weight(h)})
 
 
 def edge_ideal(D: WeightedDigraph) -> MonomialIdeal:
@@ -307,16 +306,14 @@ def check_hypotheses(D: WeightedDigraph, cls: GraphClass) -> HypothesisReport:
     1 and never appears in the edge ideal.
     """
     if cls.tag is GraphClassTag.ORIENTED_CYCLE:
-        rule = "weight >= 2 at every vertex"
         bad = [n for n, w in D.vertices if w < 2]
     else:
-        rule = "weight >= 2 at every non-source vertex of degree != 1"
         bad = [
             n
             for n, w in D.vertices
             if w < 2 and D.degree(n) != 1 and not D.is_source(n)
         ]
-    return HypothesisReport(satisfied=not bad, violations=tuple(bad), rule=rule)
+    return HypothesisReport(satisfied=not bad, violations=tuple(bad))
 
 
 # -- seeded random instances ----------------------------------------------

@@ -20,7 +20,6 @@ from .betti import BettiTable, InvariantSummary, betti_table, invariants
 from .digraphs import (
     GraphClass,
     GraphClassTag,
-    HypothesisReport,
     WeightedDigraph,
     check_hypotheses,
     classify,
@@ -28,7 +27,6 @@ from .digraphs import (
     delete_edge,
     edge_generator,
     edge_ideal,
-    normalize_source_weights,
 )
 from .monomials import (
     MonomialIdeal,
@@ -57,23 +55,22 @@ class FormulaPrediction:
     violations: tuple[str, ...]
     sum_weights: int
     edge_count: int
-    component_count: int
 
 
 def predict(D: WeightedDigraph) -> FormulaPrediction:
     """Evaluate the closed-form reg/pd predictions for a graph.
 
-    The graph is normalized first (sources get weight 1); isolated
-    vertices are excluded from the weight sum and the component count.
+    Sources count as 1 in the weight sum, since their weight never
+    enters the edge ideal; isolated vertices are excluded from the
+    weight sum and the component count.
     """
     if not D.edges:
         raise ValueError("the formulas need at least one edge")
-    Dn = normalize_source_weights(D)
-    cls = classify(Dn)
-    hyp = check_hypotheses(Dn, cls)
-    sum_w = sum(w for n, w in Dn.vertices if Dn.degree(n) > 0)
-    n_edges = len(Dn.edges)
-    comps_with_edges = sum(1 for c in components(Dn) if c.edges)
+    cls = classify(D)
+    hyp = check_hypotheses(D, cls)
+    sum_w = sum(1 if D.is_source(n) else w for n, w in D.vertices if D.degree(n) > 0)
+    n_edges = len(D.edges)
+    comps_with_edges = sum(1 for c in components(D) if c.edges)
     applicable = cls.tag is not GraphClassTag.OTHER and hyp.satisfied
     return FormulaPrediction(
         reg_pred=sum_w - n_edges + 1,
@@ -84,7 +81,6 @@ def predict(D: WeightedDigraph) -> FormulaPrediction:
         violations=hyp.violations,
         sum_weights=sum_w,
         edge_count=n_edges,
-        component_count=comps_with_edges,
     )
 
 
@@ -104,19 +100,18 @@ class InvariantReport:
     """
 
     graph: WeightedDigraph
-    graph_class: GraphClass
-    hypotheses: HypothesisReport
     prediction: FormulaPrediction
     computed: InvariantSummary
     verdict: str
 
     def to_json_dict(self) -> dict:
+        violations = self.prediction.violations
         return {
             "graph": self.graph.to_json_dict(),
-            "class": self.graph_class.tag.value,
+            "class": self.prediction.class_used.tag.value,
             "hypotheses": {
-                "satisfied": self.hypotheses.satisfied,
-                "violations": list(self.hypotheses.violations),
+                "satisfied": not violations,
+                "violations": list(violations),
             },
             "computed": {
                 "reg": self.computed.reg,
@@ -135,10 +130,10 @@ class InvariantReport:
     def to_markdown(self) -> str:
         p, c = self.prediction, self.computed
         lines = [
-            f"## Invariant report — class {self.graph_class.tag.value}",
+            f"## Invariant report — class {p.class_used.tag.value}",
             "",
-            f"- hypotheses satisfied: {self.hypotheses.satisfied}"
-            + (f" (violations: {', '.join(self.hypotheses.violations)})" if self.hypotheses.violations else ""),
+            f"- hypotheses satisfied: {not p.violations}"
+            + (f" (violations: {', '.join(p.violations)})" if p.violations else ""),
             f"- predicted: reg = {p.reg_pred}, pd = {p.pd_pred}"
             + (f", depth = {p.depth_pred} (component count; caveated)" if p.depth_pred is not None else ""),
             f"- computed: reg = {c.reg}, pd = {c.pd}, depth(S/I) = {c.depth_of_quotient}",
@@ -156,8 +151,7 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
     tripped sizing guard raises ``GuardError`` to the caller.
     """
     prediction = predict(D)
-    Dn = normalize_source_weights(D)
-    summary = invariants(edge_ideal(Dn), table)
+    summary = invariants(edge_ideal(D), table)
     match = (
         summary.reg == prediction.reg_pred and summary.pd == prediction.pd_pred
     )
@@ -165,14 +159,7 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
         verdict = VERDICT_PASS if match else VERDICT_FAIL
     else:
         verdict = VERDICT_INAPPLICABLE_AGREE if match else VERDICT_INAPPLICABLE_MISMATCH
-    return InvariantReport(
-        graph=D,
-        graph_class=prediction.class_used,
-        hypotheses=check_hypotheses(Dn, prediction.class_used),
-        prediction=prediction,
-        computed=summary,
-        verdict=verdict,
-    )
+    return InvariantReport(graph=D, prediction=prediction, computed=summary, verdict=verdict)
 
 
 @dataclass(frozen=True)
@@ -197,8 +184,7 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
     Only directed-cycle classes are accepted, and the edge must lie on
     the cycle.
     """
-    Dn = normalize_source_weights(D)
-    cls = classify(Dn)
+    cls = classify(D)
     if cls.tag not in (GraphClassTag.ORIENTED_CYCLE, GraphClassTag.UNICYCLIC_ATTACHED):
         raise ValueError(f"build_split needs a single directed cycle; graph is {cls.tag.value}")
     cycle = cls.witness
@@ -209,16 +195,14 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
         e = (str(e[0]), str(e[1]))
         if e not in cycle_edges:
             raise ValueError(f"edge {e} is not on the cycle {'->'.join(cycle)}")
-    ideal = edge_ideal(Dn)
-    polarized = polarize(ideal)
-    t, h = e
-    k_gen = polarize_monomial(edge_generator(Dn, t, h))
+    polarized = polarize(edge_ideal(D))
+    k_gen = polarize_monomial(edge_generator(D, *e))
     remaining = [g for g in polarized.generators if g != k_gen]
     if len(remaining) != len(polarized.generators) - 1:
         raise AssertionError("split generator did not match exactly one polarized generator")
     J = make_ideal(remaining, polarized.ambient)
     K = make_ideal([k_gen], polarized.ambient)
-    expected = {polarize_monomial(g) for g in edge_ideal(delete_edge(Dn, e)).generators}
+    expected = {polarize_monomial(g) for g in edge_ideal(delete_edge(D, e)).generators}
     if set(J.generators) != expected:
         raise AssertionError("J is not the polarization of the edge ideal without the split edge")
     return SplitPair(I=polarized, J=J, K=K, split_edge=e)

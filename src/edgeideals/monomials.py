@@ -136,15 +136,6 @@ class Monomial:
             exp[v] = exp.get(v, 0) + e
         return Monomial(exp)
 
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        """Exact division; raises if ``other`` does not divide ``self``."""
-        if not other.divides(self):
-            raise ValueError(f"{other} does not divide {self}")
-        exp = dict(self._exp)
-        for v, e in other._exp.items():
-            exp[v] -= e
-        return Monomial(exp)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._key == other._key
 

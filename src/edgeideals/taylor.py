@@ -56,20 +56,18 @@ def rank_over_q(rows: list[list[int]]) -> int:
     return rank
 
 
-def _subset_lcms(I: MonomialIdeal) -> tuple[list[tuple[int, ...]], list[int]]:
-    """Exponent-vector lcm and total degree for every generator subset mask."""
+def _subset_lcms(I: MonomialIdeal) -> list[tuple[int, ...]]:
+    """Exponent-vector lcm for every generator subset mask."""
     _, gens = exponent_vectors(I)
     n = len(gens[0])
     m = len(gens)
     lcms: list[tuple[int, ...]] = [(0,) * n] * (1 << m)
-    degs = [0] * (1 << m)
     for mask in range(1, 1 << m):
         low = mask & -mask
         rest = mask ^ low
         g = gens[low.bit_length() - 1]
         lcms[mask] = tuple(max(a, b) for a, b in zip(lcms[rest], g))
-        degs[mask] = sum(lcms[mask])
-    return lcms, degs
+    return lcms
 
 
 def taylor_betti_table(I: MonomialIdeal):
@@ -81,21 +79,18 @@ def taylor_betti_table(I: MonomialIdeal):
     m = len(I.generators)
     if m > TAYLOR_GUARD:
         raise GuardError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
-    lcms, _ = _subset_lcms(I)
+    lcms = _subset_lcms(I)
 
     strands: dict[tuple[int, ...], list[int]] = {}
     for mask in range(1, 1 << m):
         strands.setdefault(lcms[mask], []).append(mask)
 
     entries: dict[tuple[int, int], int] = {}
-    for b in sorted(strands):
-        masks = strands[b]
+    for b, masks in strands.items():
         j = sum(b)
         by_size: dict[int, list[int]] = {}
         for mask in masks:
             by_size.setdefault(bin(mask).count("1"), []).append(mask)
-        for k in by_size:
-            by_size[k].sort()
         top = max(by_size)
         boundary_rank: dict[int, int] = {}
         for k in range(2, top + 1):

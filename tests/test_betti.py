@@ -133,6 +133,41 @@ class TestBettiTable:
         assert row0 == {2: 1, 3: 2}
 
 
+class TestSelfChecks:
+    """A corrupted walk must trip the engine's own assertions, each with its message."""
+
+    @staticmethod
+    def _corrupt_walk(monkeypatch, corrupt):
+        real = betti_mod._walk_classes
+
+        def wrapped(masks, slots):
+            cells, shared, sample = real(masks, slots)
+            corrupt(cells, sample)
+            return cells, shared, sample
+
+        monkeypatch.setattr(betti_mod, "_walk_classes", wrapped)
+
+    def test_row_zero_mismatch_is_caught(self, monkeypatch):
+        def corrupt(cells, sample):
+            # a single cell adds (0, 9) and a two-cell adds (1, 9): the Euler
+            # sums cancel, so only the row-0 check can see it
+            cells[1, 9] = cells.get((1, 9), 0) + 1
+            cells[2, 9] = cells.get((2, 9), 0) + 1
+
+        self._corrupt_walk(monkeypatch, corrupt)
+        with pytest.raises(AssertionError, match="row 0"):
+            betti_table(edge_ideal(FIXTURES["3.4"].graph))
+
+    def test_sampled_cell_without_a_count_is_caught(self, monkeypatch):
+        def corrupt(cells, sample):
+            size, lcm = sample[0]
+            del cells[size, lcm.bit_count()]
+
+        self._corrupt_walk(monkeypatch, corrupt)
+        with pytest.raises(AssertionError, match="has no count at its lcm degree"):
+            betti_table(edge_ideal(FIXTURES["3.4"].graph))
+
+
 class TestInvariants:
     def test_counterexample_values(self):
         assert_values = {

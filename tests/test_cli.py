@@ -108,6 +108,15 @@ class TestCompute:
         assert code == EXIT_OK
         assert "Invariant report" in out
 
+    def test_ideal_markdown_format(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "compute", "--ideal", "(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)", "--format", "md"
+        )
+        assert code == EXIT_OK
+        assert out.startswith("## Invariants of")
+        assert "- reg = 11, pd = 3, depth(S/I) = 0" in out.splitlines()
+        assert "\n```\n" in out and "total:" in out and out.rstrip().endswith("```")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--input", "/nonexistent.json")
         assert code == EXIT_USAGE
@@ -249,6 +258,15 @@ class TestSplitting:
         assert code == EXIT_USAGE
         assert "cycle" in err
 
+    def test_identity_failure_exits_1(self, capsys, c3_path, monkeypatch):
+        # J∩K replaced by K breaks the identity; the failures must be reported
+        monkeypatch.setattr(formulas_mod, "intersect", lambda J, K: K)
+        code, out, _ = run_cli(capsys, "splitting", "--input", c3_path)
+        assert code == EXIT_ASSERTION
+        payload = json.loads(out)
+        assert payload["identity_holds"] is False
+        assert payload["identity_failures"]
+
     def test_markdown(self, capsys, c3_path):
         code, out, _ = run_cli(capsys, "splitting", "--input", c3_path, "--format", "md")
         assert code == EXIT_OK
@@ -346,3 +364,18 @@ def test_module_entry_point_runs():
 def test_usage_error_exit_code():
     proc = run_module("compute", "--format", "nope")
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["splitting", "--input", "GRAPH", "--edge", "x1,x2,x3"],
+        ["verify", "--class", "OrientedCycle", "--count", "0"],
+        ["verify", "--class", "OrientedCycle", "--weights", "0..3"],
+        ["verify", "--class", "OrientedCycle", "--cycle", "3-5"],
+    ],
+)
+def test_bad_option_values_exit_2(capsys, c3_path, argv):
+    code, out, err = run_cli(capsys, *[c3_path if a == "GRAPH" else a for a in argv])
+    assert code == EXIT_USAGE
+    assert out == "" and err

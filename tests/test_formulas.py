@@ -30,6 +30,21 @@ def cycle_graph(n, weight=2):
     return WeightedDigraph([(nm, weight) for nm in names], edges)
 
 
+class TestFixtureReports:
+    def test_other_class_satisfies_the_hypotheses_but_is_not_promised(self):
+        r = verify_formula(FIXTURES["3.6"].graph)
+        payload = r.to_json_dict()
+        assert payload["class"] == "Other"
+        assert payload["hypotheses"] == {"satisfied": True, "violations": []}
+        assert payload["predicted"]["applicable"] is False
+        assert "- hypotheses satisfied: True\n" in r.to_markdown()
+
+    def test_violations_are_listed(self):
+        r = verify_formula(FIXTURES["3.4"].graph)
+        assert r.to_json_dict()["hypotheses"] == {"satisfied": False, "violations": ["x6", "x7"]}
+        assert "- hypotheses satisfied: False (violations: x6, x7)" in r.to_markdown()
+
+
 class TestPredict:
     def test_hypothesis_failure_fixture(self):
         p = predict(FIXTURES["3.4"].graph)
@@ -113,7 +128,7 @@ class TestVerifyFormula:
             [("x1", "x2"), ("x2", "x3"), ("x3", "x1"), ("a", "b")],
         )
         r = verify_formula(D)
-        assert r.graph_class.tag is GraphClassTag.UNICYCLIC_GENERAL
+        assert r.prediction.class_used.tag is GraphClassTag.UNICYCLIC_GENERAL
         assert r.verdict == VERDICT_PASS
         assert r.prediction.depth_pred == 2
 
@@ -124,7 +139,7 @@ class TestVerifyFormula:
              ("b1", "b2"), ("b2", "b3"), ("b3", "b4"), ("b4", "b1")],
         )
         r = verify_formula(D)
-        assert r.graph_class.tag is GraphClassTag.UNICYCLIC_GENERAL
+        assert r.prediction.class_used.tag is GraphClassTag.UNICYCLIC_GENERAL
         assert r.verdict == VERDICT_PASS
         assert r.prediction.depth_pred == 2  # caveated, never checked against the engine
 

@@ -1,4 +1,3 @@
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -14,6 +13,7 @@ from edgeideals.simplicial import (
     nerve_face_masks,
     reduced_homology_ranks,
 )
+from edgeideals.taylor import rank_over_q
 
 a, b, c, d = (Variable(ch) for ch in "abcd")
 
@@ -93,28 +93,6 @@ class TestHomology:
         assert ranks_dict(C) == {2: 1}
 
 
-def _rank_with_fractions(rows):
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for r in range(rank + 1, len(m)):
-            if m[r][col]:
-                f = m[r][col] / m[rank][col]
-                for cc in range(col, ncols):
-                    m[r][cc] -= f * m[rank][cc]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
-
-
 matrices = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.lists(
         st.lists(st.integers(min_value=-6, max_value=6), min_size=n, max_size=n),
@@ -139,12 +117,12 @@ def deficient_matrices(draw):
 
 @given(matrices)
 def test_exact_rank_matches_fraction_elimination(rows):
-    assert exact_rank(rows) == _rank_with_fractions(rows)
+    assert exact_rank(rows) == rank_over_q(rows)
 
 
 @given(deficient_matrices())
 def test_exact_rank_of_dependent_rows_matches_fraction_elimination(rows):
-    assert exact_rank(rows) == _rank_with_fractions(rows)
+    assert exact_rank(rows) == rank_over_q(rows)
 
 
 def test_exact_rank_known_values():
@@ -153,6 +131,8 @@ def test_exact_rank_known_values():
     assert exact_rank([[0, 0], [0, 0]]) == 0
     assert exact_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
     assert exact_rank([]) == 0
+    assert rank_over_q([]) == 0
+    assert rank_over_q([[0, 0, 0], [0, 0, 0]]) == 0
     # Non-unit entries; all but [[2, 0], [0, 3]] reach the non-unit pivot step.
     assert exact_rank([[2, 3], [4, 6]]) == 1
     assert exact_rank([[2, 0], [0, 3]]) == 2
