@@ -1,34 +1,25 @@
 """Graded Betti tables of monomial ideals, computed exactly.
 
-Every multigraded Betti number of I sits at the lcm of a set of minimal
-generators.  The generators are encoded as thermometer bitmasks, so that
-an lcm is a bitwise OR and its degree a popcount.  The subsets with one
-lcm form an lcm class, whose largest member U is the closed set of all
-generators dividing lcm U.
+The generators are encoded as thermometer bitmasks, so that an lcm is a
+bitwise OR and its degree a popcount.  The table is read off the Taylor
+resolution: each generator subset S is a cell in homological degree
+|S| - 1 at deg lcm S, and ``subset_counts`` counts the cells by size and
+degree.  The subsets with one lcm form an lcm class, whose largest
+member U is the closed set of all generators dividing lcm U.  A class
+whose members each own a bit no other member covers (``_taylor_minimal``)
+has U as its only subset, and its one cell is its Betti number.  When
+all of G(I) passes, I is Taylor-minimal and the counts are the table.
+Otherwise a depth-first search walks the closed sets, and each shared
+class trades its cells for the homology of its Taylor strand (the
+subsets of U with lcm U), ranked as sparse integer rows.  Each trade has
+Euler characteristic 0.
 
-A table is single cells plus shared classes.  When every member of U
-owns a bit no other member covers (``_taylor_minimal``), U is the only
-subset in its class and adds β_{|U|-1, deg lcm U} = 1 with no linear
-algebra.  A shared class adds the reduced homology of the strand at
-b = lcm U: the squarefree σ ⊆ supp(b) with x^{b-σ} ∈ I, a union of full
-simplices, one per generator dividing x^b, whose homology is read off
-the nerve of that cover (same homotopy type) through integer boundary
-matrices.  Its facets are read off the bitmasks as well: each variable
-of supp(b) is its slot's top bit in the lcm mask.  When all of G(I)
-passes ``_taylor_minimal``, I is Taylor-minimal: every subset S is a
-single cell, counted by the coefficients of T(t, u) = Σ_S t^{|S|}
-u^{deg lcm S}, which a frontier DP over the generators computes
-exactly.  Every edge ideal of a graph satisfying the paper's weight
-hypothesis that has been checked takes this path.  Otherwise a
-depth-first search walks the closed sets.
-
-Everything is exact, and one self-check policy covers both paths: row 0
-against the generator degrees, the whole table against the Taylor oracle
-up to ``FULL_CHECK_LIMIT`` generators, and a fixed-seed sample of single
-cells through the strand path.  A walked table must also satisfy the
-Euler-characteristic identity, its homology ranks against the subset
-counts T(-1, u).  The subset counts, for which that identity holds by
-construction, must match their degree moments instead.
+Everything is exact, and every table is checked: row 0 against the
+generator degrees; a fixed-seed sample of strands taken a second way,
+through the nerve of the strand complex; the degree moments of the
+subset counts; and, up to ``FULL_CHECK_LIMIT`` generators, the whole
+table against the Taylor oracle, which shares the Taylor strand with
+this module as mathematics but not as code.
 """
 
 from __future__ import annotations
@@ -52,8 +43,9 @@ from .simplicial import (
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
-# oracle.  At every size SAMPLE_CHECKS single cells of at most SAMPLE_MAX_SIZE
-# generators go through the strand path (a bigger cell's nerve costs seconds).
+# oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
+# SAMPLE_MAX_SIZE generators go through the nerve path (a bigger class's
+# nerve costs seconds).
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -92,7 +84,7 @@ def _check_ground_guard(variables: int) -> None:
     """Refuse a strand ground set of more than ``MAX_STRAND_GROUND`` variables.
 
     ``strand_complex`` lists up to 2^variables faces.  ``betti_table``
-    applies the same bound to supp(I), though its nerve path needs none.
+    applies the same bound to supp(I), though it lists no faces there.
     """
     if variables > MAX_STRAND_GROUND:
         raise GuardError(
@@ -315,24 +307,6 @@ def _strand_homology(facets: list[int]) -> dict[int, int]:
     return {d: r for d, r in ranks if r}
 
 
-def _single_cell_homology(size: int) -> dict[int, int]:
-    """Reduced strand homology at the lcm of a class whose only subset has
-    ``size`` generators: the Taylor strand is one cell in homological
-    degree size - 1."""
-    return {size - 2: 1}
-
-
-def _check_single_cell(masks: list[int], lcm: int, slots: list[tuple[int, int]], size: int) -> None:
-    """Assert that the strand path agrees with ``_single_cell_homology`` at lcm."""
-    got = _strand_homology(_strand_facets(masks, lcm, slots))
-    want = _single_cell_homology(size)
-    if got != want:
-        raise AssertionError(
-            f"single-cell class of {size} generators at {_exponents(lcm, slots)}: "
-            f"strand homology {got}, shortcut {want}"
-        )
-
-
 def _taylor_minimal(masks: list[int]) -> bool:
     """True iff every generator owns a bit that no other generator covers.
 
@@ -377,50 +351,63 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
         raise AssertionError(f"subset-count degree moments {got} differ from the bit owners' {want}")
 
 
-def _walk_classes(
-    masks: list[int], slots: list[tuple[int, int]]
-) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], int], list[tuple[int, int]]]:
-    """Single cells, shared-class entries and a cell sample, from the lcm classes.
-
-    A class whose members pass ``_taylor_minimal`` is a single cell,
-    counted by (|U|, degree) and offered to a fixed-seed reservoir sample
-    of (|U|, lcm mask).  Every other class adds its strand homology to the
-    shared entries, keyed (i, j) as in the table.
-    """
-    cells: dict[tuple[int, int], int] = {}  # (|U|, degree) -> single-cell classes
-    shared: dict[tuple[int, int], int] = {}
-    rng = random.Random(0)
-    sample: list[tuple[int, int]] = []  # reservoir of (|U|, lcm mask)
-    eligible = 0
-    for U, lcm in _lcm_classes(masks):
-        j = lcm.bit_count()
-        members = [mask for k, mask in enumerate(masks) if U >> k & 1]
-        if _taylor_minimal(members):
-            size = len(members)
-            cells[size, j] = cells.get((size, j), 0) + 1
-            if size <= SAMPLE_MAX_SIZE:
-                eligible += 1
-                if len(sample) < SAMPLE_CHECKS:
-                    sample.append((size, lcm))
-                else:
-                    slot = rng.randrange(eligible)
-                    if slot < SAMPLE_CHECKS:
-                        sample[slot] = (size, lcm)
+def _taylor_cells(members: list[int], lcm: int) -> list[int]:
+    """The subsets of ``members`` whose OR is ``lcm``, as bitmasks over
+    member positions: a covering search that takes or leaves each member,
+    and leaves one only if the members after it (their suffix OR) can
+    still cover the bits missing."""
+    n = len(members)
+    suffix = [0] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        suffix[p] = suffix[p + 1] | members[p]
+    cells = []
+    stack = [(0, 0, 0)]  # (next position, subset, its OR)
+    while stack:
+        p, subset, covered = stack.pop()
+        if p == n:
+            cells.append(subset)
             continue
-        for d, r in _strand_homology(_strand_facets(masks, lcm, slots)).items():
-            shared[d + 1, j] = shared.get((d + 1, j), 0) + r
-    return cells, shared, sample
+        if covered | suffix[p + 1] == lcm:
+            stack.append((p + 1, subset, covered))
+        stack.append((p + 1, subset | 1 << p, covered | members[p]))
+    return cells
+
+
+def _taylor_strand(members: list[int], lcm: int) -> tuple[Counter, dict[int, int]]:
+    """Cells and nonzero homology ranks of the Taylor strand at ``lcm``,
+    both keyed by the table's index i (cells of i+1 members).  The strand
+    is the simplex on the members relative to the subsets of smaller lcm."""
+    cells = _taylor_cells(members, lcm)
+    ranks = homology_ranks_of_masks(set(cells))
+    return Counter(c.bit_count() - 1 for c in cells), {i: h for i, h in ranks if h}
+
+
+def _sample(masks: list[int]) -> list[tuple[int, int]]:
+    """``SAMPLE_CHECKS`` fixed-seed generator subsets, as (size, lcm mask).
+
+    A draw whose lcm class (the generators dividing its lcm) has more
+    than ``SAMPLE_MAX_SIZE`` members is redrawn as a random subset one
+    smaller.  A single generator is its own class, so none is skipped.
+    """
+    rng = random.Random(0)
+    sample = []
+    for _ in range(SAMPLE_CHECKS):
+        subset = rng.sample(range(len(masks)), rng.randint(1, min(len(masks), SAMPLE_MAX_SIZE)))
+        while True:
+            lcm = 0
+            for i in subset:
+                lcm |= masks[i]
+            if sum(g | lcm == lcm for g in masks) <= SAMPLE_MAX_SIZE:
+                break
+            subset = rng.sample(subset, len(subset) - 1)
+        sample.append((len(subset), lcm))
+    return sample
 
 
 def betti_table(I: MonomialIdeal) -> BettiTable:
-    """The graded Betti table of I (``of_ideal`` convention).
-
-    Its single cells come from ``subset_counts`` when I is Taylor-minimal
-    and from ``_walk_classes`` otherwise, which also gives the shared
-    entries.  Both paths send a sample of single cells through the strand
-    path; row 0, the Taylor oracle (up to ``FULL_CHECK_LIMIT``
-    generators) and, on a walk, the Euler identity are asserted.
-    """
+    """The graded Betti table of I (``of_ideal`` convention): the subset
+    counts as Taylor cells, shared classes traded for their strand
+    homology, and the checks of the module docstring."""
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
@@ -428,45 +415,41 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     # The strand at the lcm of all generators spans supp(I).
     _check_ground_guard(len(sup))
     masks, slots = thermometer_masks(gen_vecs)
-    m, minimal = len(masks), _taylor_minimal(masks)
-    if minimal:
-        cells = subset_counts(masks, slots)
-        _check_moments(cells, masks)
-        del cells[0, 0]  # the empty subset
-        shared, sample = {}, []
-        rng = random.Random(0)
-        for _ in range(SAMPLE_CHECKS):
-            subset = rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE)))
-            lcm = 0
-            for i in subset:
-                lcm |= masks[i]
-            sample.append((len(subset), lcm))
-    else:
-        cells, shared, sample = _walk_classes(masks, slots)
-    for size, lcm in sample:
-        if not cells.get((size, lcm.bit_count())):
-            raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        _check_single_cell(masks, lcm, slots, size)
-    entries = dict(shared)
-    homology = {size: _single_cell_homology(size) for size in {size for size, _ in cells}}
-    for (size, j), count in cells.items():
-        for d, r in homology[size].items():
-            entries[d + 1, j] = entries.get((d + 1, j), 0) + r * count
-    table = BettiTable("of_ideal", entries)
-    if not minimal:
-        # On the subset counts this identity holds by construction.
-        check = taylor.euler_characteristic_check(I, table)
-        if not check.ok:
-            raise AssertionError(f"Euler-characteristic self-check failed: {check.mismatches()}")
+    counts = subset_counts(masks, slots)
+    entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
+    sample = _sample(masks)
+    sampled = {lcm for _, lcm in sample}
+    shared: dict[int, dict[int, int]] = {}  # sampled shared class's lcm mask -> its nonzero ranks
+    if not _taylor_minimal(masks):
+        for U, lcm in _lcm_classes(masks):
+            members = [mask for k, mask in enumerate(masks) if U >> k & 1]
+            if _taylor_minimal(members):
+                continue
+            cells, ranks = _taylor_strand(members, lcm)
+            j = lcm.bit_count()
+            for i in cells.keys() | ranks.keys():
+                entries[i, j] = entries.get((i, j), 0) + ranks.get(i, 0) - cells[i]
+            if lcm in sampled:
+                shared[lcm] = ranks
 
-    by_degree: dict[int, int] = {}
-    for g in I.generators:
-        by_degree[g.degree()] = by_degree.get(g.degree(), 0) + 1
-    row0 = {j: c for (i, j), c in table.entries.items() if i == 0}
+    by_degree = dict(Counter(g.degree() for g in I.generators))
+    row0 = {j: c for (i, j), c in entries.items() if i == 0 and c}
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    if m <= FULL_CHECK_LIMIT:
+    for size, lcm in sample:
+        if not counts.get((size, lcm.bit_count())):
+            raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
+        got = {d + 1: r for d, r in _strand_homology(_strand_facets(masks, lcm, slots)).items()}
+        want = shared.get(lcm, {size - 1: 1})
+        if got != want:
+            raise AssertionError(
+                f"strand at {_exponents(lcm, slots)}: the nerve gives {got}, the table {want}"
+            )
+    _check_moments(counts, masks)
+    table = BettiTable("of_ideal", entries)
+
+    if len(masks) <= FULL_CHECK_LIMIT:
         # .entries, not the tables: after a package reload the oracle's
         # BettiTable can be a different class from this module's.
         oracle = taylor.taylor_betti_table(I).entries

@@ -15,6 +15,7 @@ same seeded command; ``verify`` adds its elapsed time unless given
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -334,7 +335,9 @@ def _cmd_splitting(args) -> int:
     return EXIT_OK if verdict.is_splitting else EXIT_ASSERTION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``eil`` parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="eil",
         description="Exact invariants of edge ideals of vertex-weighted oriented graphs.",

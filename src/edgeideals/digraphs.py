@@ -11,6 +11,7 @@ random instances for verification campaigns.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import warnings
@@ -58,6 +59,12 @@ class HypothesisReport:
     violations: tuple[str, ...]
 
 
+@functools.cache
+def _vertex_name(name: str) -> str:
+    """``name``, which Variable() checks once: a ValueError if no variable can have it."""
+    return Variable(name).base
+
+
 class WeightedDigraph:
     """Immutable vertex-weighted oriented graph.
 
@@ -69,7 +76,7 @@ class WeightedDigraph:
     __slots__ = ("vertices", "edges", "_index", "_out", "_in")
 
     def __init__(self, vertices: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str]]):
-        self.vertices = tuple((str(n), w) for n, w in vertices)
+        self.vertices = tuple((_vertex_name(n), w) for n, w in vertices)
         self.edges = tuple((str(t), str(h)) for t, h in edges)
         names = [n for n, _ in self.vertices]
         if len(set(names)) != len(names):
@@ -146,15 +153,14 @@ class WeightedDigraph:
     @classmethod
     def from_json_dict(cls, data: dict) -> "WeightedDigraph":
         try:
-            # Variable() raises ValueError on a name no variable can have.
-            vertices = [(Variable(v["name"]).base, v["weight"]) for v in data["vertices"]]
+            vertices = [(v["name"], v["weight"]) for v in data["vertices"]]
             edges = data["edges"]
             for e in edges:
                 if type(e) is not list or len(e) != 2 or not all(type(x) is str for x in e):
                     raise ValueError(f"malformed graph JSON: edge {e!r} is not a list of two vertex names")
+            return cls(vertices, edges)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
-        return cls(vertices, edges)
 
     @classmethod
     def from_json(cls, text: str) -> "WeightedDigraph":

@@ -2,10 +2,11 @@
 
 Complexes are stored by their inclusion-maximal faces (facets) as
 bitmasks over an ordered ground set, which keeps downward closure true
-by construction.  Reduced rational homology ranks come from boundary
-matrices over the integers.  Their entries are 0 and ±1, with d+1
-nonzeros per column, so ``exact_rank`` reduces them as sparse integer
-rows, with no floats and no modular arithmetic: every rank is exact.
+by construction.  Homology ranks come from integer boundary matrices in
+sparse rows, reduced by ``exact_rank`` with no floats and no modular
+arithmetic.  The same code ranks a complex (``betti``'s nerves) and a
+relative complex (its Taylor strands); the oracle in ``taylor`` keeps
+its own dense boundary code as the reference.
 """
 
 from __future__ import annotations
@@ -118,13 +119,13 @@ class SimplicialComplexOnSupport:
         return f"SimplicialComplexOnSupport([{names}], {len(self.facets)} facets)"
 
 
-def exact_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals of an integer matrix, by sparse row reduction.
+def exact_rank(rows: list[dict[int, int]]) -> int:
+    """Rank over the rationals of a sparse integer matrix, by row reduction.
 
-    Each row becomes a ``{column: entry}`` dict and is reduced against
-    the pivot rows found so far, each keyed by its lead column (its last
-    nonzero column).  While the row's lead column has a pivot with lead
-    entry p, and x is the row's lead entry:
+    Each row is a ``{column: entry}`` dict of nonzero entries, and is
+    reduced against the pivot rows found so far, each keyed by its lead
+    column (its last nonzero column).  While the row's lead column has a
+    pivot with lead entry p, and x is the row's lead entry:
 
     - if p is ±1, subtract x·p times the pivot row;
     - otherwise divide p and x by their gcd, set row = p·row - x·pivot,
@@ -136,8 +137,8 @@ def exact_rank(rows: list[list[int]]) -> int:
     modified.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for dense in rows:
-        row = {j: x for j, x in enumerate(dense) if x}
+    for given in rows:
+        row = dict(given)
         while row:
             lead = max(row)
             pivot = pivots.get(lead)
@@ -166,46 +167,48 @@ def exact_rank(rows: list[list[int]]) -> int:
     return len(pivots)
 
 
-def boundary_matrix(upper: list[int], lower: list[int]) -> list[list[int]]:
-    """Signed boundary matrix from the faces ``upper`` to the faces ``lower``.
+def boundary_matrix(upper: list[int], lower: list[int]) -> list[dict[int, int]]:
+    """Signed boundary from the faces ``upper`` to the faces ``lower``.
 
-    Faces are bitmasks; ``lower`` must contain every codimension-1
-    subface of every upper face.  Rows are indexed by ``lower``, columns
-    by ``upper``; removing the j-th lowest set bit carries sign (-1)^j.
+    Faces are bitmasks.  One sparse row per upper face maps the index in
+    ``lower`` of each codimension-1 subface to its sign: removing the
+    j-th lowest set bit carries (-1)^j.  Subfaces not in ``lower`` are
+    dropped, as a relative complex's boundary drops them.
     """
     index = {f: i for i, f in enumerate(lower)}
-    mat = [[0] * len(upper) for _ in lower]
-    for j, face in enumerate(upper):
-        sign = 1
-        rest = face
+    rows = []
+    for face in upper:
+        row, sign, rest = {}, 1, face
         while rest:
             low = rest & -rest
-            mat[index[face ^ low]][j] = sign
-            sign = -sign
-            rest ^= low
-    return mat
+            if (face ^ low) in index:
+                row[index[face ^ low]] = sign
+            sign, rest = -sign, rest ^ low
+        rows.append(row)
+    return rows
 
 
 def homology_ranks_of_masks(face_masks: set[int]) -> list[tuple[int, int]]:
-    """Reduced rational homology ranks of a complex given by all its faces.
+    """Rational homology ranks of a convex family of faces (with any two
+    faces, every face between them), the boundary dropping the faces
+    outside it.  Returns [(d, rank)] for d = -1 .. dim.
 
-    Returns [(d, rank)] for d = -1 .. dim.  The face set must be
-    downward closed and contain the empty face (mask 0).
+    All faces of a complex, the empty face included, give its reduced
+    homology; the faces of a simplex outside a subcomplex, the homology
+    relative to that subcomplex.
     """
-    if 0 not in face_masks:
-        raise ValueError("face set must contain the empty face")
     by_dim: dict[int, list[int]] = {}
     for m in face_masks:
         by_dim.setdefault(m.bit_count() - 1, []).append(m)
-    top = max(by_dim)
-    for d in by_dim:
-        by_dim[d].sort()
-    ranks_boundary: dict[int, int] = {}
-    for d in range(0, top + 1):
-        mat = boundary_matrix(by_dim[d], by_dim[d - 1])
-        ranks_boundary[d] = exact_rank(mat)
+    for faces in by_dim.values():
+        faces.sort()
+    ranks_boundary = {
+        d: exact_rank(boundary_matrix(faces, by_dim[d - 1]))
+        for d, faces in by_dim.items()
+        if d - 1 in by_dim
+    }
     out = []
-    for d in range(-1, top + 1):
+    for d in range(-1, max(by_dim) + 1):
         n_d = len(by_dim.get(d, ()))
         h = n_d - ranks_boundary.get(d, 0) - ranks_boundary.get(d + 1, 0)
         out.append((d, h))

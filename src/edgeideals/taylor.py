@@ -3,17 +3,18 @@
 The Taylor complex on the minimal generators (one basis element per
 generator subset, in multidegree lcm of the subset) resolves S/I; its
 strand in a fixed multidegree, after killing the nonunit entries,
-computes the same graded Betti numbers as the minimal resolution.  This
-walks subsets directly and eliminates over Fractions, sharing nothing
-with the strand-complex engine beyond monomial arithmetic, so agreement
-between the two is a genuine cross-check.
+computes the same graded Betti numbers as the minimal resolution.  The
+engine in ``betti`` reads its tables off the same strands but shares no
+code with this oracle, which groups all 2^m subsets by exponent vector
+and eliminates dense matrices over ``Fraction``.
 
 Also home to the Euler-characteristic identity: for each degree j the
 alternating sum of β_{i,j}(S/I) equals the alternating subset count
-Σ_{S ⊆ G(I)} (-1)^{|S|} [deg lcm(S) = j], which holds for any resolution
-and is used as an engine self-check.  Its subset side is T(-1, u), read
-off the subset counts T(t, u) of ``monomials.subset_counts``, so it
-lists no subsets and needs no size bound.
+Σ_{S ⊆ G(I)} (-1)^{|S|} [deg lcm(S) = j], which holds for any resolution.
+Its subset side is T(-1, u), read off the subset counts T(t, u) of
+``monomials.subset_counts``, so it lists no subsets and needs no size
+bound.  The engine's tables satisfy it by construction; tests and demos
+check it.
 """
 
 from __future__ import annotations

@@ -134,36 +134,36 @@ class TestBettiTable:
 
 
 class TestSelfChecks:
-    """A corrupted walk must trip the engine's own assertions, each with its message."""
+    """Corrupted subset counts on a walked ideal must trip the engine's own
+    assertions, each with its message."""
 
     @staticmethod
-    def _corrupt_walk(monkeypatch, corrupt):
-        real = betti_mod._walk_classes
-
+    def _corrupt_counts(monkeypatch, corrupt):
         def wrapped(masks, slots):
-            cells, shared, sample = real(masks, slots)
-            corrupt(cells, sample)
-            return cells, shared, sample
+            T = subset_counts(masks, slots)
+            corrupt(T, masks)
+            return T
 
-        monkeypatch.setattr(betti_mod, "_walk_classes", wrapped)
+        monkeypatch.setattr(betti_mod, "subset_counts", wrapped)
 
     def test_row_zero_mismatch_is_caught(self, monkeypatch):
-        def corrupt(cells, sample):
-            # a single cell adds (0, 9) and a two-cell adds (1, 9): the Euler
-            # sums cancel, so only the row-0 check can see it
-            cells[1, 9] = cells.get((1, 9), 0) + 1
-            cells[2, 9] = cells.get((2, 9), 0) + 1
+        def corrupt(T, masks):
+            # a subset of one generator adds (0, 9) and one of two adds (1, 9):
+            # the alternating sums cancel, and row 0 is checked first
+            T[1, 9] = T.get((1, 9), 0) + 1
+            T[2, 9] = T.get((2, 9), 0) + 1
 
-        self._corrupt_walk(monkeypatch, corrupt)
+        self._corrupt_counts(monkeypatch, corrupt)
         with pytest.raises(AssertionError, match="row 0"):
             betti_table(edge_ideal(FIXTURES["3.4"].graph))
 
     def test_sampled_cell_without_a_count_is_caught(self, monkeypatch):
-        def corrupt(cells, sample):
-            size, lcm = sample[0]
-            del cells[size, lcm.bit_count()]
+        def corrupt(T, masks):
+            # past row 0, which would see a missing single generator first
+            size, lcm = next((size, lcm) for size, lcm in betti_mod._sample(masks) if size >= 2)
+            del T[size, lcm.bit_count()]
 
-        self._corrupt_walk(monkeypatch, corrupt)
+        self._corrupt_counts(monkeypatch, corrupt)
         with pytest.raises(AssertionError, match="has no count at its lcm degree"):
             betti_table(edge_ideal(FIXTURES["3.4"].graph))
 
@@ -384,14 +384,32 @@ class TestLcmClasses:
         assert dict(got) == brute_force_classes(masks)
 
     @given(minimal_ideals())
-    def test_walk_of_a_minimal_ideal_is_its_subset_counts(self, I):
-        # Both paths in one shape: every subset a single cell, none shared.
+    def test_classes_of_a_minimal_ideal_are_its_subset_counts(self, I):
+        # Why a Taylor-minimal ideal needs no walk: every class is a single
+        # cell, so the classes counted by (|U|, degree) are the subset counts.
         masks, slots = thermometer_masks(exponent_vectors(I)[1])
         assert certified(I) and len(masks) <= 10
-        cells, shared, _ = betti_mod._walk_classes(masks, slots)
+        classes = list(betti_mod._lcm_classes(masks))
+        assert all(betti_mod._taylor_minimal(members(U, masks)) for U, _ in classes)
         counts = subset_counts(masks, slots)
         del counts[0, 0]
-        assert (cells, shared) == (counts, {})
+        assert Counter((U.bit_count(), lcm.bit_count()) for U, lcm in classes) == counts
+
+    @given(small_ideals())
+    def test_taylor_cells_are_the_subsets_with_the_class_lcm(self, I):
+        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        for U, lcm in betti_mod._lcm_classes(masks):
+            group = members(U, masks)
+            want = set()
+            for S in range(1, 1 << len(group)):
+                covered = 0
+                for p, mask in enumerate(group):
+                    if S >> p & 1:
+                        covered |= mask
+                if covered == lcm:
+                    want.add(S)
+            cells = betti_mod._taylor_cells(group, lcm)
+            assert len(cells) == len(want) and set(cells) == want
 
     @given(small_ideals())
     def test_engine_matches_taylor_oracle(self, I):
@@ -410,6 +428,9 @@ class TestLcmClasses:
                 b = Monomial(dict(zip(sup, bvec)))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
                 assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm, slots)) == ranks
+                # the Taylor strand, in the table's index i = d + 1
+                taylor_ranks = betti_mod._taylor_strand(members(U, masks), lcm)[1]
+                assert taylor_ranks == {d + 1: r for d, r in ranks.items()}
                 if betti_mod._taylor_minimal(members(U, masks)):
                     assert ranks == {U.bit_count() - 2: 1}
                     singles += 1
@@ -423,15 +444,30 @@ class TestLcmClasses:
         assert betti_mod._strand_homology([0]) == {-1: 1}
 
     @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
-    def test_cross_check_catches_a_wrong_shortcut(self, monkeypatch, source):
-        # Both paths send a fixed-seed sample of single cells through the
-        # strand path at every size: subsets on the subset-count path, a
-        # reservoir of single-cell classes on the walk.
+    def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):
+        # Minimal or walked, every table sends a fixed-seed sample of subsets
+        # through the nerve path at every size.
         I = edge_ideal(FIXTURES[source].graph) if source == "3.4" else oriented_cycle_ideal(source)
         assert certified(I) == (source != "3.4")
-        monkeypatch.setattr(betti_mod, "_single_cell_homology", lambda size: {size - 2: 2})
-        with pytest.raises(AssertionError, match="single-cell class"):
+        strand_homology = betti_mod._strand_homology
+        monkeypatch.setattr(
+            betti_mod, "_strand_homology", lambda facets: {d: 2 * r for d, r in strand_homology(facets).items()}
+        )
+        with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
+
+    def test_sample_redraws_a_class_too_big_for_the_nerve(self):
+        # In K5 a subset's lcm class holds every edge among the vertices it
+        # covers, so a draw covering all five vertices (a class of ten) is
+        # redrawn smaller.
+        I = parse_ideal("(" + ", ".join(f"x{a}*x{b}" for a, b in combinations(range(1, 6), 2)) + ")")
+        masks = thermometer_masks(exponent_vectors(I)[1])[0]
+        sample = betti_mod._sample(masks)
+        assert len(sample) == betti_mod.SAMPLE_CHECKS
+        sizes = [sum(g | lcm == lcm for g in masks) for _, lcm in sample]
+        assert max(sizes) <= betti_mod.SAMPLE_MAX_SIZE < len(masks)
+        assert sample == betti_mod._sample(masks)
+        assert betti_table(I).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
 
     def test_memory_stays_small_on_a_sixteen_cycle(self):
         I = oriented_cycle_ideal(16)
@@ -453,15 +489,27 @@ class TestLcmClasses:
             betti_table(make_ideal(gens, ambient))
         assert not walked
 
-    def test_euler_check_runs_on_a_walk_above_the_oracle_guard(self, monkeypatch):
+    def test_sample_catches_a_wrong_shared_rank_above_the_oracle_guard(self, monkeypatch):
         # A non-minimal ideal of 18 generators: the chord x1*x3 owns no bit.
+        # One rank too many in the top degree of every shared class (three or
+        # more members) keeps row 0 and the subset counts; only a sampled
+        # shared class, whose nerve still gives the true ranks, shows it.
         cycle = oriented_cycle_ideal(17)
         I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
         assert len(I.generators) == 18 and not certified(I)
-        row0 = Counter((1, g.degree()) for g in I.generators)
-        monkeypatch.setattr(betti_mod, "_walk_classes", lambda *args: (row0, {}, []))
-        with pytest.raises(AssertionError, match="Euler-characteristic"):
+        taylor_strand = betti_mod._taylor_strand
+
+        def wrong(members, lcm):
+            cells, ranks = taylor_strand(members, lcm)
+            top = len(members) - 1
+            return cells, {**ranks, top: ranks.get(top, 0) + 1}
+
+        oracle_calls = []
+        monkeypatch.setattr(betti_mod, "_taylor_strand", wrong)
+        monkeypatch.setattr(taylor_mod, "taylor_betti_table", lambda I: oracle_calls.append(I))
+        with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
+        assert not oracle_calls
 
     def test_sample_check_catches_a_wrong_certification_above_the_oracle_guard(self, monkeypatch):
         # Certified by mistake, the 18 generators take the subset-count path.
@@ -473,23 +521,25 @@ class TestLcmClasses:
         I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
         assert len(I.generators) == 18 and not certified(I)
         monkeypatch.setattr(betti_mod, "_taylor_minimal", lambda masks: True)
-        with pytest.raises(AssertionError, match="single-cell class"):
+        with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
 
-    def test_oracle_catches_what_row_0_and_euler_miss_on_a_walk(self, monkeypatch):
-        # +1 at (1, 9) and at (2, 9) keeps row 0 and every alternating sum;
-        # the oracle runs after both checks, so its message shows they passed.
+    def test_oracle_catches_what_row_0_and_the_sample_miss_on_a_walk(self, monkeypatch):
+        # One cell fewer in degrees 1 and 2 of each shared class adds +1 at
+        # (1, j) and (2, j): row 0, every alternating sum, the sampled ranks
+        # and the subset counts stay as they are.  The oracle runs after
+        # those checks, so its message shows they passed.
         I = edge_ideal(FIXTURES["3.4"].graph)
         assert not certified(I)
-        walk_classes = betti_mod._walk_classes
+        taylor_strand = betti_mod._taylor_strand
 
-        def skewed(*args):
-            cells, shared, sample = walk_classes(*args)
-            for key in ((1, 9), (2, 9)):
-                shared[key] = shared.get(key, 0) + 1
-            return cells, shared, sample
+        def skewed(members, lcm):
+            cells, ranks = taylor_strand(members, lcm)
+            cells[1] -= 1
+            cells[2] -= 1
+            return cells, ranks
 
-        monkeypatch.setattr(betti_mod, "_walk_classes", skewed)
+        monkeypatch.setattr(betti_mod, "_taylor_strand", skewed)
         with pytest.raises(AssertionError, match="Taylor oracle"):
             betti_table(I)
 
@@ -611,7 +661,7 @@ class TestTaylorMinimalPremise:
 
 
 class TestWeightOneCounterexamples:
-    """Weights 1..3 drop the hypothesis w >= 2: these 11-12-edge instances
+    """Weights 1..3 drop the hypothesis w >= 2: these 11-15-edge instances
     are not certified, so they take the walk and its shared-class strands.
     Above FULL_CHECK_LIMIT generators the engine no longer runs the oracle
     itself, so it is run here; (reg, pd) is pinned against the closed forms."""
@@ -623,13 +673,15 @@ class TestWeightOneCounterexamples:
             ("UnicyclicAttached", 6, 5, 3, (12, 9), (12, 10)),
             ("UnicyclicGeneral", 4, 7, 5, (8, 6), (12, 10)),
             ("RootedForest", 0, 12, 9, (12, 7), (13, 10)),
+            ("OrientedCycle", 14, 0, 1, (16, 9), (18, 13)),
+            ("UnicyclicGeneral", 5, 9, 1, (19, 11), (18, 14)),
         ],
-        ids=["cycle-12", "attached-6+5", "general-4+7", "forest-12"],
+        ids=["cycle-12", "attached-6+5", "general-4+7", "forest-12", "cycle-14", "general-5+9"],
     )
     def test_walk_matches_oracle_and_breaks_the_closed_form(self, tag, cycle_len, extra, seed, got, predicted):
         D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=seed)
         I = edge_ideal(D)
-        assert betti_mod.FULL_CHECK_LIMIT < len(I.generators) <= 12 and not certified(I)
+        assert betti_mod.FULL_CHECK_LIMIT < len(I.generators) <= TAYLOR_GUARD and not certified(I)
         table = betti_table(I)
         assert table == taylor_betti_table(I)
         p = predict(D)

@@ -345,6 +345,28 @@ def test_malformed_graph_json_is_a_usage_error(capsys, tmp_path, command, name, 
     assert "Traceback" not in err
 
 
+def test_consecutive_calls_print_what_fresh_calls_print(capsys, c3_path):
+    # main builds its parser once per process; a usage error or --help in
+    # between leaves it as it was.
+    calls = [
+        ["compute", "--input", c3_path, "--format", "md"],
+        ["compute", "--format", "nope"],
+        ["repro", "2.9"],
+        ["--help"],
+        ["verify", "--class", "OrientedCycle", "--count", "2", "--no-timing"],
+        ["splitting", "--help"],
+        ["compute", "--ideal", "(x1*x2, x2*x3)"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli_mod.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
+    parser = cli_mod.build_parser()
+    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert cli_mod.build_parser() is parser
+
+
 def run_module(*argv):
     """``python -m edgeideals`` in a subprocess, with src/ on its path."""
     env = dict(os.environ)

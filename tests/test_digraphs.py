@@ -58,6 +58,12 @@ class TestBasics:
         with pytest.raises(ValueError, match="weights must be integers"):
             WeightedDigraph([("a", 1), ("b", weight)], [("a", "b")])
 
+    @pytest.mark.parametrize("name", ["a_1", "1a", ""], ids=["polar-suffix", "digit-first", "empty"])
+    def test_name_no_variable_can_have_rejected(self, name):
+        # The constructor, not only the JSON reader, applies the variable-name rule.
+        with pytest.raises(ValueError, match="variable name"):
+            WeightedDigraph([(name, 2), ("b", 2)], [(name, "b")])
+
     def test_degree_sum_is_twice_edge_count(self):
         for seed in range(5):
             D = random_instance(

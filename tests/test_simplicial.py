@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from edgeideals.monomials import Variable
+from edgeideals.digraphs import edge_ideal
+from edgeideals.fixtures import FIXTURES
+from edgeideals.monomials import Variable, exponent_vectors, parse_ideal
 from edgeideals.simplicial import (
     SimplicialComplexOnSupport,
     boundary_matrix,
@@ -13,7 +15,7 @@ from edgeideals.simplicial import (
     nerve_face_masks,
     reduced_homology_ranks,
 )
-from edgeideals.taylor import rank_over_q
+from edgeideals.taylor import rank_over_q, taylor_betti_table
 
 a, b, c, d = (Variable(ch) for ch in "abcd")
 
@@ -115,34 +117,43 @@ def deficient_matrices(draw):
     return draw(st.permutations(rows))
 
 
+def sparse(rows):
+    """Dense integer rows as the ``{column: entry}`` rows ``exact_rank`` takes."""
+    return [{j: x for j, x in enumerate(row) if x} for row in rows]
+
+
+def dense(rows, ncols):
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 @given(matrices)
 def test_exact_rank_matches_fraction_elimination(rows):
-    assert exact_rank(rows) == rank_over_q(rows)
+    assert exact_rank(sparse(rows)) == rank_over_q(rows)
 
 
 @given(deficient_matrices())
 def test_exact_rank_of_dependent_rows_matches_fraction_elimination(rows):
-    assert exact_rank(rows) == rank_over_q(rows)
+    assert exact_rank(sparse(rows)) == rank_over_q(rows)
 
 
 def test_exact_rank_known_values():
-    assert exact_rank([[1, 0], [0, 1]]) == 2
-    assert exact_rank([[1, 2], [2, 4]]) == 1
-    assert exact_rank([[0, 0], [0, 0]]) == 0
-    assert exact_rank([[2, 0, 1], [0, 3, 1], [2, 3, 2]]) == 2
+    assert exact_rank(sparse([[1, 0], [0, 1]])) == 2
+    assert exact_rank(sparse([[1, 2], [2, 4]])) == 1
+    assert exact_rank(sparse([[0, 0], [0, 0]])) == 0
+    assert exact_rank(sparse([[2, 0, 1], [0, 3, 1], [2, 3, 2]])) == 2
     assert exact_rank([]) == 0
     assert rank_over_q([]) == 0
     assert rank_over_q([[0, 0, 0], [0, 0, 0]]) == 0
     # Non-unit entries; all but [[2, 0], [0, 3]] reach the non-unit pivot step.
-    assert exact_rank([[2, 3], [4, 6]]) == 1
-    assert exact_rank([[2, 0], [0, 3]]) == 2
-    assert exact_rank([[6, 10], [15, 25]]) == 1
-    assert exact_rank([[2, 3], [4, 7]]) == 2
+    assert exact_rank(sparse([[2, 3], [4, 6]])) == 1
+    assert exact_rank(sparse([[2, 0], [0, 3]])) == 2
+    assert exact_rank(sparse([[6, 10], [15, 25]])) == 1
+    assert exact_rank(sparse([[2, 3], [4, 7]])) == 2
 
 
 def test_exact_rank_leaves_its_argument_unchanged():
-    rows = [[2, 3, 0], [4, 6, 1], [6, 10, 5], [0, 0, 0]]
-    before = [row[:] for row in rows]
+    rows = sparse([[2, 3, 0], [4, 6, 1], [6, 10, 5], [0, 0, 0]])
+    before = [dict(row) for row in rows]
     exact_rank(rows)
     assert rows == before
 
@@ -160,19 +171,34 @@ def full_simplex_faces(n: int) -> set[int]:
     return set(range(1 << n)) if n else {0}
 
 
-def test_boundary_matrix_squares_to_zero():
-    faces2 = sorted(full_simplex_faces(4) - {0b1111}, key=lambda m: (bin(m).count("1"), m))
+def faces_by_dim(faces):
     by_dim = {}
-    for m in faces2:
-        by_dim.setdefault(bin(m).count("1") - 1, []).append(m)
-    d2 = boundary_matrix(by_dim[2], by_dim[1])
-    d1 = boundary_matrix(by_dim[1], by_dim[0])
-    rows, mid, cols = len(d1), len(d1[0]), len(d2[0])
-    prod = [
-        [sum(d1[r][k] * d2[k][cc] for k in range(mid)) for cc in range(cols)]
-        for r in range(rows)
-    ]
+    for m in sorted(faces):
+        by_dim.setdefault(m.bit_count() - 1, []).append(m)
+    return by_dim
+
+
+@pytest.mark.parametrize(
+    "faces",
+    [full_simplex_faces(4) - {0b1111}, {m for m in full_simplex_faces(5) if m & 0b111}],
+    ids=["sphere", "relative"],
+)
+def test_boundary_matrix_squares_to_zero(faces):
+    # One sparse row per upper face; d1 after d2 is zero, on the boundary
+    # of the tetrahedron and on the 5-simplex relative to its faces that
+    # avoid the first three vertices.
+    by_dim = faces_by_dim(faces)
+    d2 = dense(boundary_matrix(by_dim[2], by_dim[1]), len(by_dim[1]))
+    d1 = dense(boundary_matrix(by_dim[1], by_dim[0]), len(by_dim[0]))
+    assert any(any(row) for row in d1) and any(any(row) for row in d2)
+    prod = [[sum(x * d1[k][c] for k, x in enumerate(row)) for c in range(len(by_dim[0]))] for row in d2]
     assert all(all(x == 0 for x in row) for row in prod)
+
+
+def test_boundary_matrix_drops_subfaces_outside_the_family():
+    # Edges of a triangle into the vertices a and c only: b's column is gone.
+    rows = boundary_matrix([0b011, 0b101, 0b110], [0b001, 0b100])
+    assert rows == [{0: -1}, {0: -1, 1: 1}, {1: 1}]
 
 
 def test_maximalize():
@@ -198,3 +224,32 @@ def test_nerve_has_same_homology_as_union(facets):
     direct = {d: r for d, r in homology_ranks_of_masks(union_faces) if r}
     nerve = {d: r for d, r in homology_ranks_of_masks(nerve_face_masks(facets)) if r}
     assert direct == nerve
+
+
+@pytest.mark.parametrize(
+    "ideal",
+    [
+        parse_ideal("(x1*x2, x2*x3, x1*x3)"),
+        parse_ideal("(x1*x2^2, x2*x3, x1^2*x3, x1*x3^2)"),
+        edge_ideal(FIXTURES["3.4"].graph),
+        edge_ideal(FIXTURES["3.6"].graph),
+    ],
+    ids=["triangle", "four-generators", "3.4", "3.6"],
+)
+def test_taylor_strands_as_relative_complexes_match_the_oracle(ideal):
+    # Each strand's cells are the subsets with one lcm, an up-set of the
+    # simplex on the generators dividing it; their relative homology in
+    # dimension d is β_{d, deg}, which the Taylor oracle gets by its own
+    # dense elimination over Fraction.
+    gens = exponent_vectors(ideal)[1]
+    strands = {}
+    for S in range(1, 1 << len(gens)):
+        lcm = tuple(map(max, zip(*(g for k, g in enumerate(gens) if S >> k & 1))))
+        strands.setdefault(lcm, set()).add(S)
+    entries = {}
+    for lcm, cells in strands.items():
+        for d, h in homology_ranks_of_masks(cells):
+            if h:
+                entries[d, sum(lcm)] = entries.get((d, sum(lcm)), 0) + h
+    assert any(len(cells) > 1 for cells in strands.values())
+    assert entries == taylor_betti_table(ideal).entries
