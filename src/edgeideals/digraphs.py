@@ -274,7 +274,7 @@ def _component_status(comp: WeightedDigraph) -> tuple[str, tuple]:
     return ("other", ())
 
 
-def classify(D: WeightedDigraph) -> GraphClass:
+def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> GraphClass:
     """Classify into the formula-bearing graph classes.
 
     RootedForest: every component a tree with all edges oriented away
@@ -282,9 +282,11 @@ def classify(D: WeightedDigraph) -> GraphClass:
     UnicyclicAttached: connected, one directed cycle plus rooted trees
     oriented away from it.  UnicyclicGeneral: several components, each a
     rooted tree or an attached-type unicyclic component, at least one
-    cyclic.  Everything else is Other.
+    cyclic.  Everything else is Other.  ``comps`` is ``components(D)``
+    when the caller already has it; otherwise it is computed.
     """
-    comps = components(D)
+    if comps is None:
+        comps = components(D)
     if not comps:
         return GraphClass(GraphClassTag.OTHER, ())
     statuses = [_component_status(c) for c in comps]

@@ -66,11 +66,12 @@ def predict(D: WeightedDigraph) -> FormulaPrediction:
     """
     if not D.edges:
         raise ValueError("the formulas need at least one edge")
-    cls = classify(D)
+    comps = components(D)
+    cls = classify(D, comps)
     hyp = check_hypotheses(D, cls)
     sum_w = sum(1 if D.is_source(n) else w for n, w in D.vertices if D.degree(n) > 0)
     n_edges = len(D.edges)
-    comps_with_edges = sum(1 for c in components(D) if c.edges)
+    comps_with_edges = sum(1 for c in comps if c.edges)
     applicable = cls.tag is not GraphClassTag.OTHER and hyp.satisfied
     return FormulaPrediction(
         reg_pred=sum_w - n_edges + 1,

@@ -4,9 +4,11 @@ Complexes are stored by their inclusion-maximal faces (facets) as
 bitmasks over an ordered ground set, which keeps downward closure true
 by construction.  Homology ranks come from integer boundary matrices in
 sparse rows, reduced by ``exact_rank`` with no floats and no modular
-arithmetic.  The same code ranks a complex (``betti``'s nerves) and a
-relative complex (its Taylor strands); the oracle in ``taylor`` keeps
-its own dense boundary code as the reference.
+arithmetic.  The same code ranks a complex and a relative complex:
+``betti`` ranks each nerve relative to the closed star of one vertex,
+and each Taylor strand relative to the subsets of smaller lcm.  The
+oracle in ``taylor`` keeps its own dense boundary code as the
+reference.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ strand in a fixed multidegree, after killing the nonunit entries,
 computes the same graded Betti numbers as the minimal resolution.  The
 engine in ``betti`` reads its tables off the same strands but shares no
 code with this oracle, which groups all 2^m subsets by exponent vector
-and eliminates dense matrices over ``Fraction``.
+and eliminates dense matrices over ``Fraction``.  A strand that holds a
+single subset S is one cell, counted at (|S| - 1, deg lcm S) with no
+matrix.
 
 Also home to the Euler-characteristic identity: for each degree j the
 alternating sum of β_{i,j}(S/I) equals the alternating subset count
@@ -65,9 +67,7 @@ def _subset_lcms(I: MonomialIdeal) -> list[tuple[int, ...]]:
     lcms: list[tuple[int, ...]] = [(0,) * n] * (1 << m)
     for mask in range(1, 1 << m):
         low = mask & -mask
-        rest = mask ^ low
-        g = gens[low.bit_length() - 1]
-        lcms[mask] = tuple(max(a, b) for a, b in zip(lcms[rest], g))
+        lcms[mask] = tuple(map(max, lcms[mask ^ low], gens[low.bit_length() - 1]))
     return lcms
 
 
@@ -89,6 +89,11 @@ def taylor_betti_table(I: MonomialIdeal):
     entries: dict[tuple[int, int], int] = {}
     for b, masks in strands.items():
         j = sum(b)
+        if len(masks) == 1:
+            # A lone subset S is the strand's only cell: β_{|S|-1, j} gets 1.
+            key = (masks[0].bit_count() - 1, j)
+            entries[key] = entries.get(key, 0) + 1
+            continue
         by_size: dict[int, list[int]] = {}
         for mask in masks:
             by_size.setdefault(bin(mask).count("1"), []).append(mask)

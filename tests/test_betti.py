@@ -34,7 +34,7 @@ from edgeideals.monomials import (
     subset_counts,
     thermometer_masks,
 )
-from edgeideals.simplicial import reduced_homology_ranks
+from edgeideals.simplicial import homology_ranks_of_masks, maximalize, nerve_face_masks, reduced_homology_ranks
 from edgeideals.taylor import TAYLOR_GUARD, euler_characteristic_check, taylor_betti_table
 
 from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
@@ -341,6 +341,19 @@ def minimal_ideals(draw):
     return make_ideal(gens, own + shared)
 
 
+@st.composite
+def facet_families(draw):
+    """Maximalized families of 1-8 facets over at most 9 ground bits:
+    the irrelevant complex [0], single facets, and cones, whose facets
+    all share a bit."""
+    bits = draw(st.integers(0, 9))
+    facets = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=1, max_size=8))
+    if bits and draw(st.booleans()):
+        apex = 1 << draw(st.integers(0, bits - 1))
+        facets = [f | apex for f in facets]
+    return list(maximalize(facets))
+
+
 def oriented_cycle_ideal(m, seed=1):
     return edge_ideal(random_instance("OrientedCycle", cycle_len=m, weight_range=(2, 3), seed=seed))
 
@@ -442,6 +455,27 @@ class TestLcmClasses:
     def test_strand_homology_of_void_and_irrelevant_complexes(self):
         assert betti_mod._strand_homology([]) == {}
         assert betti_mod._strand_homology([0]) == {-1: 1}
+
+    @given(facet_families())
+    def test_strand_homology_relative_to_a_star_is_the_full_nerve(self, facets):
+        full = {d: r for d, r in homology_ranks_of_masks(nerve_face_masks(facets)) if r}
+        assert betti_mod._strand_homology(facets) == full
+
+    def test_sampled_single_classes_rank_one_cell_each(self, monkeypatch):
+        # A single class of s members has the boundary of an (s-1)-simplex
+        # as its nerve; outside the star of one vertex only the opposite
+        # facet is left.
+        I = oriented_cycle_ideal(10)
+        assert certified(I)
+        sizes = []
+
+        def counted(faces):
+            sizes.append(len(faces))
+            return homology_ranks_of_masks(faces)
+
+        monkeypatch.setattr(betti_mod, "homology_ranks_of_masks", counted)
+        betti_table(I)
+        assert sizes == [1] * betti_mod.SAMPLE_CHECKS
 
     @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
     def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):

@@ -1,5 +1,7 @@
 import pytest
 
+import edgeideals.digraphs as digraphs_mod
+import edgeideals.formulas as formulas_mod
 from edgeideals.betti import GuardError, betti_table
 from edgeideals.digraphs import (
     GraphClassTag,
@@ -99,6 +101,21 @@ class TestPredict:
     def test_edgeless_graph_rejected(self):
         with pytest.raises(ValueError):
             predict(WeightedDigraph([("a", 1)], []))
+
+    def test_components_are_built_once(self, monkeypatch):
+        D = random_instance("UnicyclicGeneral", cycle_len=4, extra_vertices=3, weight_range=(2, 3), seed=1)
+        built, components = [], digraphs_mod.components
+
+        def counted(D):
+            built.append(components(D))
+            return built[-1]
+
+        monkeypatch.setattr(digraphs_mod, "components", counted)
+        monkeypatch.setattr(formulas_mod, "components", counted)
+        p = predict(D)
+        assert len(built) == 1
+        assert p.class_used == digraphs_mod.classify(D, built[0])
+        assert p.depth_pred == sum(1 for c in built[0] if c.edges)
 
 
 class TestVerifyFormula:
