@@ -5,7 +5,7 @@ Library layout:
 - :mod:`edgeideals.monomials` — monomial/ideal arithmetic and polarization
 - :mod:`edgeideals.digraphs`  — weighted oriented graphs, classes, edge ideals
 - :mod:`edgeideals.simplicial` — complexes and exact homology ranks
-- :mod:`edgeideals.betti`     — the Betti engine: subset counts or the lcm-class walk
+- :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
 - :mod:`edgeideals.formulas`  — closed-form predictions and Betti splittings
 - :mod:`edgeideals.cli`       — the ``eil`` command

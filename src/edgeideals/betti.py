@@ -1,7 +1,9 @@
 """Graded Betti tables of monomial ideals, computed exactly.
 
 The generators are encoded as thermometer bitmasks, so that an lcm is a
-bitwise OR and its degree a popcount.  The table is read off the Taylor
+bitwise OR and its degree a popcount.  Each bit is a variable of the
+polarization, which has the same graded Betti numbers, and every step
+below works on the masks alone.  The table is read off the Taylor
 resolution: each generator subset S is a cell in homological degree
 |S| - 1 at deg lcm S, and ``subset_counts`` counts the cells by size and
 degree.  The subsets with one lcm form an lcm class, whose largest
@@ -16,9 +18,9 @@ Euler characteristic 0.
 
 Everything is exact, and every table is checked: row 0 against the
 generator degrees; a fixed-seed sample of strands taken a second way,
-through the nerve of the strand complex, ranked relative to the closed
-star of one nerve vertex (a cone, so the reduced homology is
-unchanged); the degree moments of the subset counts; and, up to
+through the nerve of the polarization's strand complex, ranked relative
+to the closed star of one nerve vertex (a cone, so the reduced homology
+is unchanged); the degree moments of the subset counts; and, up to
 ``FULL_CHECK_LIMIT`` generators, the whole table against the Taylor
 oracle, which shares the Taylor strand with this module as mathematics
 but not as code.
@@ -35,12 +37,7 @@ from typing import Iterator, Mapping
 
 from . import taylor
 from .monomials import Monomial, MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
-from .simplicial import (
-    SimplicialComplexOnSupport,
-    homology_ranks_of_masks,
-    maximalize,
-    nerve_face_masks,
-)
+from .simplicial import SimplicialComplexOnSupport, homology_ranks_of_masks, nerve_face_masks
 
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
@@ -213,7 +210,7 @@ def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
     takes the closure.  It is pruned when the closure takes in a skipped
     generator j < i, because that closed set is reached from another
     parent (the prefix-preserving closure extension of Uno et al.'s LCM
-    miner).  Only generators sharing a variable with i can join the
+    miner).  Only generators sharing a bit with i can join the
     closure: every other non-member already failed to divide lcm U.  The
     search stack holds one frame per level, so memory is O(m).
     """
@@ -261,18 +258,17 @@ def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
     }
 
 
-def _strand_facets(masks: list[int], lcm: int, slots: list[tuple[int, int]]) -> list[int]:
-    """Facet masks of the strand complex at the lcm mask ``lcm``.
+def _strand_facets(masks: list[int], lcm: int) -> list[int]:
+    """Facet masks of the polarization's strand complex at the lcm mask ``lcm``.
 
-    Faces of the strand at b are the σ ⊆ supp(b) avoiding the tight set
-    of some generator dividing x^b, so the facets are the complements of
-    those tight sets.  Both are read off the thermometer bitmasks: each
-    variable of supp(b) is its slot's top bit in ``lcm``, and a generator
-    g dividing x^b (g | lcm == lcm) is tight at exactly the top bits it
-    covers.
+    Each bit is a variable of the polarization, whose strand at ``lcm``
+    has the faces σ ⊆ lcm that avoid some generator g dividing it
+    (g | lcm == lcm); its facets are the complements lcm & ~g.
+    Polarization keeps every strand's reduced homology, and distinct
+    minimal generators are incomparable masks, so the facets are already
+    an antichain.
     """
-    top = lcm & (~(lcm >> 1) | sum(1 << offset + width - 1 for offset, width in slots))
-    return list(maximalize(top & ~g for g in masks if g | lcm == lcm))
+    return [lcm & ~g for g in masks if g | lcm == lcm]
 
 
 def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
@@ -344,11 +340,19 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
     generators whose mask has bit b.  With W bits, n = C(m, k) and
     M(x) = C(m - |x|, k), the three moments are n, W·n - Σ_b M(owners b)
     and C(W, 2)·n - (W - 1)·Σ_b M(owners b) + Σ_{b<b'} M(owners b ∪ owners b').
+    Bits with one owner set are interchangeable, so the sums run over the
+    distinct owner sets x, each with its c_x bits: the pairs within x
+    count C(c_x, 2) times, and those across x and y count c_x·c_y times.
     """
     m, W = len(masks), max(masks).bit_length()
-    owners = [sum(1 << i for i, mask in enumerate(masks) if mask >> b & 1) for b in range(W)]
-    single = Counter(x.bit_count() for x in owners)
-    pair = Counter((x | y).bit_count() for b, x in enumerate(owners) for y in owners[b + 1:])
+    owners = Counter(sum(1 << i for i, mask in enumerate(masks) if mask >> b & 1) for b in range(W))
+    single, pair = Counter(), Counter()
+    groups = list(owners.items())
+    for p, (x, c) in enumerate(groups):
+        single[x.bit_count()] += c
+        pair[x.bit_count()] += comb(c, 2)
+        for y, d in groups[p + 1:]:
+            pair[(x | y).bit_count()] += c * d
     got: dict[int, list[int]] = {}
     for (k, j), c in T.items():
         got[k] = [g + comb(j, r) * c for r, g in enumerate(got.get(k, (0, 0, 0)))]
@@ -426,7 +430,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     # The strand at the lcm of all generators spans supp(I).
     _check_ground_guard(len(sup))
     masks, slots = thermometer_masks(gen_vecs)
-    counts = subset_counts(masks, slots)
+    counts = subset_counts(masks)
     entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     sample = _sample(masks)
     sampled = {lcm for _, lcm in sample}
@@ -451,7 +455,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     for size, lcm in sample:
         if not counts.get((size, lcm.bit_count())):
             raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        got = {d + 1: r for d, r in _strand_homology(_strand_facets(masks, lcm, slots)).items()}
+        got = {d + 1: r for d, r in _strand_homology(_strand_facets(masks, lcm)).items()}
         want = shared.get(lcm, {size - 1: 1})
         if got != want:
             raise AssertionError(

@@ -260,6 +260,8 @@ def _cmd_verify(args) -> int:
             raise ValueError("--cycle must start at 3 for cyclic classes")
         if config.weight_range[0] < 1:
             raise ValueError("--weights must start at 1 or above")
+        if config.extra_range[0] < 0:
+            raise ValueError("--extra must start at 0 or above")
     except ValueError as exc:
         print(f"invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_USAGE

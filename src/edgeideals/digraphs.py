@@ -380,6 +380,8 @@ def random_instance(
     lo, hi = weight_range
     if not (1 <= lo <= hi):
         raise ValueError(f"empty or invalid weight range {weight_range}")
+    if extra_vertices < 0:
+        raise ValueError(f"extra_vertices must be >= 0, got {extra_vertices}")
     rng = random.Random(f"edgeideals:{tag.value}:{cycle_len}:{extra_vertices}:{lo}:{hi}:{seed}")
 
     if tag is GraphClassTag.ROOTED_FOREST:

@@ -246,10 +246,12 @@ def thermometer_masks(
     """Bitmask encoding of exponent vectors under which lcm is bitwise OR.
 
     Position k gets a slot as wide as its largest exponent, and exponent e
-    sets the low e bits of that slot (the support of the polarization).
-    So the lcm of a set is the OR of its masks, divisibility is mask
-    inclusion, and the total degree of an lcm is the popcount of the OR.
-    Returns the masks and each slot's (offset, width).
+    sets the low e bits of that slot.  Each bit is a variable of the
+    polarization, and each mask is its generator's polarization.  So the
+    lcm of a set is the OR of its masks, divisibility is mask inclusion,
+    and the total degree of an lcm is the popcount of the OR.  Returns the
+    masks and each slot's (offset, width); the slots only decode a mask
+    back into exponents.
     """
     widths = [max(column) for column in zip(*vectors)]
     slots, offset = [], 0
@@ -265,23 +267,24 @@ def thermometer_masks(
     return masks, slots
 
 
-def subset_counts(
-    masks: list[int], slots: list[tuple[int, int]]
-) -> dict[tuple[int, int], int]:
+def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:
     """T(t, u) = Σ_S t^{|S|} u^{deg lcm S} over all generator subsets S, as
     {(|S|, degree): count}, the empty subset included.
 
-    deg lcm S is a sum over variables of the largest exponent in S, so a
-    frontier DP over the generators counts the subsets exactly.  The state
-    is the OR of the taken masks restricted to the open variables (seen,
-    and still to be seen again); after a variable's last generator its
-    bits are counted into the degree and cleared.  Generators go in BFS
-    order over shared variables, which keeps few variables open at once.
+    Each bit is a variable of the polarization, so deg lcm S is the number
+    of bits set in some member of S, and a frontier DP over the generators
+    counts the subsets exactly.  The state is the OR of the taken masks
+    restricted to the open bits (seen, and still to be seen again); after a
+    bit's last owner it is counted into the degree and cleared.  Generators
+    go in BFS order over shared bits, which keeps few bits open at once.
     States never outnumber the subsets of the generators seen so far.
     """
     m = len(masks)
-    slot_masks = [((1 << width) - 1) << offset for offset, width in slots]
-    users = [[i for i in range(m) if masks[i] & slot] for slot in slot_masks]
+    set_bits = [[b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"] for mask in masks]
+    owners: list[list[int]] = [[] for _ in range(max(masks, default=0).bit_length())]
+    for i, own in enumerate(set_bits):
+        for b in own:
+            owners[b].append(i)
     order: list[int] = []
     placed = [False] * m
     for root in range(m):
@@ -290,21 +293,19 @@ def subset_counts(
         placed[root] = True
         queue = [root]
         for i in queue:  # grows while it is read: BFS from root
-            for slot, members in zip(slot_masks, users):
-                if masks[i] & slot:
-                    for j in members:
-                        if not placed[j]:
-                            placed[j] = True
-                            queue.append(j)
+            for b in set_bits[i]:
+                for j in owners[b]:
+                    if not placed[j]:
+                        placed[j] = True
+                        queue.append(j)
         order += queue
-    closing = [0] * m  # position in order -> bits of the variables it closes
-    position = {i: pos for pos, i in enumerate(order)}
-    for slot, members in zip(slot_masks, users):
-        if members:
-            closing[max(position[i] for i in members)] |= slot
+    later = [0] * (m + 1)  # position in order -> OR of the masks from there on
+    for pos in range(m - 1, -1, -1):
+        later[pos] = later[pos + 1] | masks[order[pos]]
     states = {(0, 0, 0): 1}  # (open bits of the lcm, |S|, closed degree) -> subsets
     for pos, i in enumerate(order):
-        mask, close = masks[i], closing[pos]
+        mask = masks[i]
+        close = mask & ~later[pos + 1]  # the bits whose last owner this is
         step: dict[tuple[int, int, int], int] = {}
         for (state, size, degree), count in states.items():
             for bits, k in ((state, size), (state | mask, size + 1)):

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from collections import Counter
 from itertools import combinations
@@ -31,6 +32,7 @@ from edgeideals.monomials import (
     parse_ideal,
     parse_monomial,
     polarize,
+    polarize_monomial,
     subset_counts,
     thermometer_masks,
 )
@@ -139,8 +141,8 @@ class TestSelfChecks:
 
     @staticmethod
     def _corrupt_counts(monkeypatch, corrupt):
-        def wrapped(masks, slots):
-            T = subset_counts(masks, slots)
+        def wrapped(masks):
+            T = subset_counts(masks)
             corrupt(T, masks)
             return T
 
@@ -275,6 +277,10 @@ class TestEulerCheck:
             check = euler_characteristic_check(I, betti_table(I))
             assert check.ok and not check.mismatches()
 
+    def test_zero_ideal_passes(self):
+        I = make_ideal([], (Variable("x"),))
+        assert euler_characteristic_check(I, betti_table(I)).ok
+
     def test_detects_corruption(self):
         I = parse_ideal("(x1*x2, x2*x3)")
         t = betti_table(I)
@@ -400,11 +406,11 @@ class TestLcmClasses:
     def test_classes_of_a_minimal_ideal_are_its_subset_counts(self, I):
         # Why a Taylor-minimal ideal needs no walk: every class is a single
         # cell, so the classes counted by (|U|, degree) are the subset counts.
-        masks, slots = thermometer_masks(exponent_vectors(I)[1])
+        masks, _ = thermometer_masks(exponent_vectors(I)[1])
         assert certified(I) and len(masks) <= 10
         classes = list(betti_mod._lcm_classes(masks))
         assert all(betti_mod._taylor_minimal(members(U, masks)) for U, _ in classes)
-        counts = subset_counts(masks, slots)
+        counts = subset_counts(masks)
         del counts[0, 0]
         assert Counter((U.bit_count(), lcm.bit_count()) for U, lcm in classes) == counts
 
@@ -429,10 +435,12 @@ class TestLcmClasses:
         assert betti_table(I) == taylor_betti_table(I)
 
     def test_every_class_matches_literal_strands(self, rng):
-        # the nerve path of the engine against literal face enumeration
+        # the nerve path of the engine against literal face enumeration, on
+        # I and, where its strand has at most 2^10 faces, on its polarization,
+        # whose strands the facets are read from
         ideals = [edge_ideal(f.graph) for f in FIXTURES.values()]
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
-        singles = shared = 0
+        singles = shared = polarized = 0
         for I in ideals:
             sup, gen_vecs = exponent_vectors(I)
             masks, slots = thermometer_masks(gen_vecs)
@@ -440,7 +448,11 @@ class TestLcmClasses:
                 bvec = betti_mod._exponents(lcm, slots)
                 b = Monomial(dict(zip(sup, bvec)))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
-                assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm, slots)) == ranks
+                if lcm.bit_count() <= 10:
+                    strand = strand_complex(polarize(I), polarize_monomial(b))
+                    assert {d: r for d, r in reduced_homology_ranks(strand) if r} == ranks
+                    polarized += 1
+                assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm)) == ranks
                 # the Taylor strand, in the table's index i = d + 1
                 taylor_ranks = betti_mod._taylor_strand(members(U, masks), lcm)[1]
                 assert taylor_ranks == {d + 1: r for d, r in ranks.items()}
@@ -451,6 +463,7 @@ class TestLcmClasses:
                     shared += 1
         assert singles > 100
         assert shared > 10
+        assert polarized > 250
 
     def test_strand_homology_of_void_and_irrelevant_complexes(self):
         assert betti_mod._strand_homology([]) == {}
@@ -622,7 +635,7 @@ class TestEngineAgainstOracleAtFullCheckSizes:
 class TestSubsetCounts:
     @given(small_ideals(), st.randoms(use_true_random=False))
     def test_subset_polynomial_matches_brute_force(self, I, shuffler):
-        masks, slots = thermometer_masks(exponent_vectors(I)[1])
+        masks, _ = thermometer_masks(exponent_vectors(I)[1])
         want = {}
         for size in range(len(masks) + 1):
             for subset in combinations(masks, size):
@@ -630,9 +643,18 @@ class TestSubsetCounts:
                 for mask in subset:
                     lcm |= mask
                 want[size, lcm.bit_count()] = want.get((size, lcm.bit_count()), 0) + 1
-        assert subset_counts(masks, slots) == want
+        assert subset_counts(masks) == want
         shuffler.shuffle(masks)
-        assert subset_counts(masks, slots) == want
+        assert subset_counts(masks) == want
+
+    def test_moment_check_is_linear_in_mask_width(self):
+        # 9,003 bits in three owner sets: the moments pair owner sets, not bits
+        e = 3000
+        I = parse_ideal(f"(x1^{e}*x2, x2^{e}*x3, x3^{e}*x1)")
+        started = time.perf_counter()
+        table = betti_table(I)
+        assert time.perf_counter() - started < 1.0
+        assert table.entries == {(0, e + 1): 3, (1, 2 * e + 1): 3, (2, 3 * e): 1}
 
     @given(small_ideals())
     def test_taylor_minimal_iff_every_class_is_single(self, I):
@@ -659,8 +681,8 @@ class TestSubsetCounts:
         # mean-preserving swap moves a degree moment; a third difference
         # moves none of the three, and only the Taylor oracle, up to
         # FULL_CHECK_LIMIT generators, sees it.
-        def skewed(masks, slots):
-            T = subset_counts(masks, slots)
+        def skewed(masks):
+            T = subset_counts(masks)
             k, j = next(
                 (k, j) for k, j in sorted(T)
                 if k >= 2 and all(T.get((k, j + d), 0) > max(0, -delta) for d, delta in enumerate(skew))
@@ -695,7 +717,7 @@ class TestTaylorMinimalPremise:
 
 
 class TestWeightOneCounterexamples:
-    """Weights 1..3 drop the hypothesis w >= 2: these 11-15-edge instances
+    """Weights 1..3 drop the hypothesis w >= 2: these 11-16-edge instances
     are not certified, so they take the walk and its shared-class strands.
     Above FULL_CHECK_LIMIT generators the engine no longer runs the oracle
     itself, so it is run here; (reg, pd) is pinned against the closed forms."""
@@ -709,8 +731,13 @@ class TestWeightOneCounterexamples:
             ("RootedForest", 0, 12, 9, (12, 7), (13, 10)),
             ("OrientedCycle", 14, 0, 1, (16, 9), (18, 13)),
             ("UnicyclicGeneral", 5, 9, 1, (19, 11), (18, 14)),
+            ("RootedForest", 0, 18, 1, (18, 13), (19, 15)),
+            ("UnicyclicAttached", 7, 8, 1, (17, 10), (19, 14)),
         ],
-        ids=["cycle-12", "attached-6+5", "general-4+7", "forest-12", "cycle-14", "general-5+9"],
+        ids=[
+            "cycle-12", "attached-6+5", "general-4+7", "forest-12", "cycle-14", "general-5+9",
+            "forest-16", "attached-7+8",
+        ],
     )
     def test_walk_matches_oracle_and_breaks_the_closed_form(self, tag, cycle_len, extra, seed, got, predicted):
         D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=seed)

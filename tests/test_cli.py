@@ -395,6 +395,7 @@ def test_usage_error_exit_code():
         ["verify", "--class", "OrientedCycle", "--count", "0"],
         ["verify", "--class", "OrientedCycle", "--weights", "0..3"],
         ["verify", "--class", "OrientedCycle", "--cycle", "3-5"],
+        ["verify", "--class", "UnicyclicGeneral", "--extra=-3..-1"],
     ],
 )
 def test_bad_option_values_exit_2(capsys, c3_path, argv):

@@ -284,6 +284,8 @@ class TestRandomInstances:
             random_instance(GraphClassTag.ROOTED_FOREST, extra_vertices=1, seed=0)
         with pytest.raises(ValueError):
             random_instance(GraphClassTag.OTHER, cycle_len=3, seed=0)
+        with pytest.raises(ValueError, match="extra_vertices"):
+            random_instance(GraphClassTag.UNICYCLIC_GENERAL, cycle_len=3, extra_vertices=-5, seed=0)
 
 
 class TestJson:

@@ -8,6 +8,7 @@ from edgeideals.monomials import (
     IdealSyntaxError,
     Monomial,
     Variable,
+    exponent_vectors,
     ideal_sum,
     intersect,
     lcm_of,
@@ -17,6 +18,7 @@ from edgeideals.monomials import (
     parse_monomial,
     polarize,
     polarize_monomial,
+    thermometer_masks,
 )
 
 x1, x2, x3, x4 = (Variable(f"x{i}") for i in range(1, 5))
@@ -262,6 +264,15 @@ def test_polarize_preserves_count_and_degrees(rows):
     assert sorted(g.degree() for g in P.generators) == sorted(g.degree() for g in I.generators)
     for g in P.generators:
         assert all(e == 1 for e in g.exponents.values())
+
+
+@given(small_exponents)
+def test_masks_are_the_polarization(rows):
+    # a thermometer mask sets one bit per variable of the polarization
+    I = _ideal_from_rows(rows)
+    masks = thermometer_masks(exponent_vectors(I)[1])[0]
+    polarized = thermometer_masks(exponent_vectors(polarize(I))[1])[0]
+    assert sorted(polarized) == sorted(masks)
 
 
 def test_ideal_sum_merges_ambients():
