@@ -3,27 +3,28 @@
 The generators are encoded as thermometer bitmasks, so that an lcm is a
 bitwise OR and its degree a popcount.  Each bit is a variable of the
 polarization, which has the same graded Betti numbers, and every step
-below works on the masks alone.  The table is read off the Taylor
-resolution: each generator subset S is a cell in homological degree
-|S| - 1 at deg lcm S, and ``subset_counts`` counts the cells by size and
-degree.  The subsets with one lcm form an lcm class, whose largest
-member U is the closed set of all generators dividing lcm U.  A class
-whose members each own a bit no other member covers (``_taylor_minimal``)
-has U as its only subset, and its one cell is its Betti number.  When
-all of G(I) passes, I is Taylor-minimal and the counts are the table.
-Otherwise a depth-first search walks the closed sets, and each shared
-class trades its cells for the homology of its Taylor strand (the
-subsets of U with lcm U), ranked as sparse integer rows.  Each trade has
-Euler characteristic 0.
+below works on the masks alone.  They carry no slot layout: a candidate
+degree is the componentwise max of its class's exponent vectors.  The
+table is read off the Taylor resolution: each generator subset S is a
+cell in homological degree |S| - 1 at deg lcm S, and ``subset_counts``
+counts the cells by size and degree.  The subsets with one lcm form an
+lcm class, whose largest member U is the closed set of all generators
+dividing lcm U.  A class whose members each own a bit no other member
+covers (``_taylor_minimal``) has U as its only subset, and its one cell
+is its Betti number.  When all of G(I) passes, I is Taylor-minimal and
+the counts are the table.  Otherwise a depth-first search walks the
+closed sets, and each shared class trades its cells for the homology of
+its Taylor strand (the subsets of U with lcm U), ranked as sparse integer
+rows.  Each trade has Euler characteristic 0.
 
 Everything is exact, and every table is checked: row 0 against the
 generator degrees; a fixed-seed sample of strands taken a second way,
 through the nerve of the polarization's strand complex, ranked relative
 to the closed star of one nerve vertex (a cone, so the reduced homology
-is unchanged); the degree moments of the subset counts; and, up to
-``FULL_CHECK_LIMIT`` generators, the whole table against the Taylor
-oracle, which shares the Taylor strand with this module as mathematics
-but not as code.
+is unchanged) with its cells read off the deletion of that vertex; the
+degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
+generators, the whole table against the Taylor oracle, which shares the
+Taylor strand with this module as mathematics but not as code.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ MAX_STRAND_GROUND = 24
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
 # oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
 # SAMPLE_MAX_SIZE generators go through the nerve path.  A class of s
-# generators has up to 2^s - 1 nerve faces: on a 2-vCPU host with Python
-# 3.11, a single class of 8 took 0.1 ms, of 16 about 30 ms and of 20
-# about 0.7 s, listing its nerve included.
+# generators lists up to 2^(s-1) nerve faces, those of the deletion of one
+# vertex: on a 2-vCPU host with Python 3.11, a single class of 8 took
+# 0.1 ms, of 16 about 26 ms and of 20 about 0.53 s, listing included.
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -196,11 +197,6 @@ class InvariantSummary:
     ambient_variable_count: int
 
 
-def _exponents(mask: int, slots: list[tuple[int, int]]) -> tuple[int, ...]:
-    """Exponent vector of a thermometer mask."""
-    return tuple((mask >> offset & ((1 << width) - 1)).bit_count() for offset, width in slots)
-
-
 def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
     """Every lcm class once, as (U, lcm mask).
 
@@ -241,9 +237,11 @@ def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
 
 
 def _candidate_vectors(gen_vecs: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """lcms of the nonempty generator subsets, one per lcm class."""
-    masks, slots = thermometer_masks(gen_vecs)
-    return {_exponents(lcm, slots) for _, lcm in _lcm_classes(masks)}
+    """lcms of the nonempty generator subsets: per lcm class, its members' max."""
+    return {
+        tuple(map(max, zip(*(vec for k, vec in enumerate(gen_vecs) if U >> k & 1))))
+        for U, _ in _lcm_classes(thermometer_masks(gen_vecs))
+    }
 
 
 def candidate_degrees(I: MonomialIdeal) -> set[Monomial]:
@@ -300,15 +298,14 @@ def _strand_homology(facets: list[int]) -> dict[int, int]:
     The ranks are those of the nerve K of the cover, which is homotopy
     equivalent to the union because all intersections of simplices are
     simplices.  Only the faces of K outside the closed star of nerve
-    vertex 0 are ranked: the star is a cone, so H̃(K) ≅ H(K, st 0).  If
-    no face is left, K is that cone.  The void union (no facets) has no
-    homology; when facet 0 is empty, K = {∅}, its star is empty and
-    every face stays.
+    vertex 0 are ranked (the star is a cone, so H̃(K) ≅ H(K, st 0)): the
+    faces of the deletion of 0 whose intersection misses facet 0.  If no
+    face is left, K is that cone.  The void union (no facets) has no
+    homology; when facet 0 is empty, its star is empty and every face stays.
     """
     if not facets:
         return {}
-    faces = nerve_face_masks(facets)
-    cells = {f for f in faces if not f & 1 and f | 1 not in faces}
+    cells = {f for f, inter in nerve_face_masks(facets[1:]).items() if not inter & facets[0]}
     if not cells:
         return {}
     return {d: r for d, r in homology_ranks_of_masks(cells) if r}
@@ -412,7 +409,7 @@ def _sample(masks: list[int]) -> list[tuple[int, int]]:
             lcm = 0
             for i in subset:
                 lcm |= masks[i]
-            if sum(g | lcm == lcm for g in masks) <= SAMPLE_MAX_SIZE:
+            if len(_strand_facets(masks, lcm)) <= SAMPLE_MAX_SIZE:
                 break
             subset = rng.sample(subset, len(subset) - 1)
         sample.append((len(subset), lcm))
@@ -429,7 +426,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     sup, gen_vecs = exponent_vectors(I)
     # The strand at the lcm of all generators spans supp(I).
     _check_ground_guard(len(sup))
-    masks, slots = thermometer_masks(gen_vecs)
+    masks = thermometer_masks(gen_vecs)
     counts = subset_counts(masks)
     entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     sample = _sample(masks)
@@ -459,7 +456,8 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
         want = shared.get(lcm, {size - 1: 1})
         if got != want:
             raise AssertionError(
-                f"strand at {_exponents(lcm, slots)}: the nerve gives {got}, the table {want}"
+                f"strand at the lcm of {size} sampled generators (degree {lcm.bit_count()}): "
+                f"the nerve gives {got}, the table {want}"
             )
     _check_moments(counts, masks)
     table = BettiTable("of_ideal", entries)

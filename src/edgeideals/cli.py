@@ -47,7 +47,7 @@ EXIT_GUARD = 3
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Parameters of one seeded verification campaign."""
+    """Parameters of one seeded verification campaign; an unrunnable one raises ``ValueError``."""
 
     class_tag: GraphClassTag
     instance_count: int
@@ -55,6 +55,22 @@ class CampaignConfig:
     extra_range: tuple[int, int]
     weight_range: tuple[int, int]
     seed: int
+
+    def __post_init__(self):
+        if self.class_tag is GraphClassTag.OTHER:
+            raise ValueError(f"cannot generate instances of class {self.class_tag.value}")
+        ranges = {"--cycle": self.cycle_range, "--extra": self.extra_range, "--weights": self.weight_range}
+        for flag, (lo, hi) in ranges.items():
+            if lo > hi:
+                raise ValueError(f"{flag} range '{lo}..{hi}' is empty")
+        if self.instance_count < 1:
+            raise ValueError("--count must be >= 1")
+        if self.class_tag is not GraphClassTag.ROOTED_FOREST and self.cycle_range[0] < 3:
+            raise ValueError("--cycle must start at 3 for cyclic classes")
+        if self.weight_range[0] < 1:
+            raise ValueError("--weights must start at 1 or above")
+        if self.extra_range[0] < 0:
+            raise ValueError("--extra must start at 0 or above")
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,14 +270,6 @@ def _cmd_verify(args) -> int:
             weight_range=_parse_range(args.weights, "--weights"),
             seed=args.seed,
         )
-        if config.instance_count < 1:
-            raise ValueError("--count must be >= 1")
-        if config.class_tag is not GraphClassTag.ROOTED_FOREST and config.cycle_range[0] < 3:
-            raise ValueError("--cycle must start at 3 for cyclic classes")
-        if config.weight_range[0] < 1:
-            raise ValueError("--weights must start at 1 or above")
-        if config.extra_range[0] < 0:
-            raise ValueError("--extra must start at 0 or above")
     except ValueError as exc:
         print(f"invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -327,17 +327,6 @@ def check_hypotheses(D: WeightedDigraph, cls: GraphClass) -> HypothesisReport:
 # -- seeded random instances ----------------------------------------------
 
 
-def _draw_weights(D: WeightedDigraph, rng: random.Random, lo: int, hi: int) -> WeightedDigraph:
-    """Non-leaves draw from [lo, hi]; leaves from [1, hi] (degree-1 vertices are unconstrained)."""
-    vertices = []
-    for n, _ in D.vertices:
-        if D.degree(n) == 1:
-            vertices.append((n, rng.randint(1, hi)))
-        else:
-            vertices.append((n, rng.randint(lo, hi)))
-    return WeightedDigraph(vertices, D.edges)
-
-
 def _random_forest_edges(n: int, rng: random.Random, prefix: str = "v") -> tuple[list[str], list[tuple[str, str]]]:
     names = [f"{prefix}{i}" for i in range(1, n + 1)]
     edges = [(names[0], names[1])]
@@ -420,7 +409,13 @@ def random_instance(
     else:
         raise ValueError(f"cannot generate instances of class {tag.value}")
 
-    D = normalize_source_weights(_draw_weights(D, rng, lo, hi))
+    # Non-leaves draw from [lo, hi], leaves (unconstrained) from [1, hi].  Every
+    # vertex draws; a source, whose weight never enters the edge ideal, gets 1.
+    vertices = []
+    for n in D.vertex_names():
+        w = rng.randint(1 if D.degree(n) == 1 else lo, hi)
+        vertices.append((n, 1 if D.is_source(n) else w))
+    D = WeightedDigraph(vertices, D.edges)
     got = classify(D)
     if got.tag is not tag:
         raise AssertionError(f"generator produced {got.tag.value}, wanted {tag.value}")

@@ -18,6 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import total_ordering
+from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
 
 
@@ -240,31 +241,25 @@ def exponent_vectors(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple
     return order, [tuple(g.exponent(v) for v in order) for g in I.generators]
 
 
-def thermometer_masks(
-    vectors: Sequence[Sequence[int]],
-) -> tuple[list[int], list[tuple[int, int]]]:
+def thermometer_masks(vectors: Sequence[Sequence[int]]) -> list[int]:
     """Bitmask encoding of exponent vectors under which lcm is bitwise OR.
 
     Position k gets a slot as wide as its largest exponent, and exponent e
     sets the low e bits of that slot.  Each bit is a variable of the
     polarization, and each mask is its generator's polarization.  So the
     lcm of a set is the OR of its masks, divisibility is mask inclusion,
-    and the total degree of an lcm is the popcount of the OR.  Returns the
-    masks and each slot's (offset, width); the slots only decode a mask
-    back into exponents.
+    and the total degree of an lcm is the popcount of the OR.  The masks
+    carry no slot layout: exponents are read from the vectors, never
+    decoded from a mask.
     """
-    widths = [max(column) for column in zip(*vectors)]
-    slots, offset = [], 0
-    for width in widths:
-        slots.append((offset, width))
-        offset += width
+    offsets = [0, *accumulate(max(column) for column in zip(*vectors))]
     masks = []
     for vec in vectors:
         mask = 0
-        for (offset, _), e in zip(slots, vec):
-            mask |= ((1 << e) - 1) << offset
+        for start, e in zip(offsets, vec):
+            mask |= ((1 << e) - 1) << start
         masks.append(mask)
-    return masks, slots
+    return masks
 
 
 def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:

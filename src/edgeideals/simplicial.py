@@ -6,9 +6,9 @@ by construction.  Homology ranks come from integer boundary matrices in
 sparse rows, reduced by ``exact_rank`` with no floats and no modular
 arithmetic.  The same code ranks a complex and a relative complex:
 ``betti`` ranks each nerve relative to the closed star of one vertex,
-and each Taylor strand relative to the subsets of smaller lcm.  The
-oracle in ``taylor`` keeps its own dense boundary code as the
-reference.
+its cells read off the nerve of the deletion of that vertex, and each
+Taylor strand relative to the subsets of smaller lcm.  The oracle in
+``taylor`` keeps its own dense boundary code as the reference.
 """
 
 from __future__ import annotations
@@ -228,18 +228,20 @@ def reduced_homology_ranks(C: SimplicialComplexOnSupport) -> list[tuple[int, int
     return homology_ranks_of_masks(C.face_masks())
 
 
-def nerve_face_masks(facets: Sequence[int]) -> set[int]:
-    """Faces of the nerve of a cover by simplices with vertex sets ``facets``.
+def nerve_face_masks(facets: Sequence[int]) -> dict[int, int]:
+    """Faces of the nerve of a cover by simplices with vertex sets ``facets``,
+    each mapped to the intersection of its facets (-1 for the empty face).
 
     A subset S of covering simplices spans a nerve face exactly when the
     intersection of their vertex sets is nonempty; since intersections of
     simplices are simplices (hence contractible when nonempty), the nerve
     has the same homotopy type as the union.  Enumeration prunes upward:
-    supersets of an empty intersection stay empty.
+    supersets of an empty intersection stay empty.  ``betti`` reads the
+    cells of a nerve relative to a vertex star off the deletion of that vertex.
     """
     m = len(facets)
-    faces: set[int] = {0}
-    frontier: dict[int, int] = {0: -1}  # nerve mask -> intersection mask (-1 = everything)
+    faces: dict[int, int] = {0: -1}  # nerve mask -> intersection mask (-1 = everything)
+    frontier = faces
     while frontier:
         new: dict[int, int] = {}
         for mask, inter in frontier.items():

@@ -148,7 +148,7 @@ def euler_characteristic_check(I: MonomialIdeal, table) -> EulerCheck:
     for (i, j), c in quotient.entries.items():
         lhs[j] = lhs.get(j, 0) + (c if i % 2 == 0 else -c)
     rhs: dict[int, int] = {}
-    for (k, j), c in subset_counts(thermometer_masks(exponent_vectors(I)[1])[0]).items():
+    for (k, j), c in subset_counts(thermometer_masks(exponent_vectors(I)[1])).items():
         rhs[j] = rhs.get(j, 0) + (c if k % 2 == 0 else -c)
     per_degree = {
         j: (lhs.get(j, 0), rhs.get(j, 0)) for j in sorted(set(lhs) | set(rhs))

@@ -2,6 +2,7 @@ import random
 import time
 import tracemalloc
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 
 import pytest
@@ -58,6 +59,17 @@ class TestCandidateDegrees:
     def test_boolean_lattice(self):
         got = candidate_degrees(parse_ideal("(x1, x2, x3)"))
         assert len(got) == 7
+
+    @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4).filter(any), min_size=1, max_size=6))
+    def test_lcms_of_every_generator_subset(self, vectors):
+        # exponents up to 3, so a class lcm takes several bits of one slot
+        I = make_ideal([Monomial(dict(zip(AMBIENT5, vec))) for vec in vectors], AMBIENT5)
+        gens = I.generators
+        want = {
+            reduce(Monomial.lcm, (g for k, g in enumerate(gens) if S >> k & 1))
+            for S in range(1, 1 << len(gens))
+        }
+        assert candidate_degrees(I) == want
 
     def test_zero_ideal_rejected(self):
         with pytest.raises(ValueError):
@@ -366,7 +378,7 @@ def oriented_cycle_ideal(m, seed=1):
 
 def certified(I):
     """Whether betti_table takes the subset-count path on I."""
-    return betti_mod._taylor_minimal(thermometer_masks(exponent_vectors(I)[1])[0])
+    return betti_mod._taylor_minimal(thermometer_masks(exponent_vectors(I)[1]))
 
 
 def members(U, masks):
@@ -394,7 +406,7 @@ def brute_force_classes(masks):
 class TestLcmClasses:
     @given(small_ideals())
     def test_enumeration_matches_brute_force(self, I):
-        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        masks = thermometer_masks(exponent_vectors(I)[1])
         got = [
             (lcm, (U, betti_mod._taylor_minimal(members(U, masks))))
             for U, lcm in betti_mod._lcm_classes(masks)
@@ -406,7 +418,7 @@ class TestLcmClasses:
     def test_classes_of_a_minimal_ideal_are_its_subset_counts(self, I):
         # Why a Taylor-minimal ideal needs no walk: every class is a single
         # cell, so the classes counted by (|U|, degree) are the subset counts.
-        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        masks = thermometer_masks(exponent_vectors(I)[1])
         assert certified(I) and len(masks) <= 10
         classes = list(betti_mod._lcm_classes(masks))
         assert all(betti_mod._taylor_minimal(members(U, masks)) for U, _ in classes)
@@ -416,7 +428,7 @@ class TestLcmClasses:
 
     @given(small_ideals())
     def test_taylor_cells_are_the_subsets_with_the_class_lcm(self, I):
-        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        masks = thermometer_masks(exponent_vectors(I)[1])
         for U, lcm in betti_mod._lcm_classes(masks):
             group = members(U, masks)
             want = set()
@@ -442,11 +454,9 @@ class TestLcmClasses:
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
         singles = shared = polarized = 0
         for I in ideals:
-            sup, gen_vecs = exponent_vectors(I)
-            masks, slots = thermometer_masks(gen_vecs)
+            masks = thermometer_masks(exponent_vectors(I)[1])
             for U, lcm in betti_mod._lcm_classes(masks):
-                bvec = betti_mod._exponents(lcm, slots)
-                b = Monomial(dict(zip(sup, bvec)))
+                b = reduce(Monomial.lcm, (g for k, g in enumerate(I.generators) if U >> k & 1))
                 ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
                 if lcm.bit_count() <= 10:
                     strand = strand_complex(polarize(I), polarize_monomial(b))
@@ -477,18 +487,28 @@ class TestLcmClasses:
     def test_sampled_single_classes_rank_one_cell_each(self, monkeypatch):
         # A single class of s members has the boundary of an (s-1)-simplex
         # as its nerve; outside the star of one vertex only the opposite
-        # facet is left.
+        # facet is left.  Its cells are read off the deletion of that
+        # vertex, the full simplex on the other s - 1: 2^(s-1) faces, where
+        # the whole nerve has 2^s - 1.
         I = oriented_cycle_ideal(10)
         assert certified(I)
-        sizes = []
+        sizes, listed = [], []
 
         def counted(faces):
             sizes.append(len(faces))
             return homology_ranks_of_masks(faces)
 
+        def nerve(facets):
+            faces = nerve_face_masks(facets)
+            listed.append(len(faces))
+            return faces
+
         monkeypatch.setattr(betti_mod, "homology_ranks_of_masks", counted)
+        monkeypatch.setattr(betti_mod, "nerve_face_masks", nerve)
         betti_table(I)
         assert sizes == [1] * betti_mod.SAMPLE_CHECKS
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        assert listed == [2 ** (size - 1) for size, _ in betti_mod._sample(masks)]
 
     @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
     def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):
@@ -508,7 +528,7 @@ class TestLcmClasses:
         # covers, so a draw covering all five vertices (a class of ten) is
         # redrawn smaller.
         I = parse_ideal("(" + ", ".join(f"x{a}*x{b}" for a, b in combinations(range(1, 6), 2)) + ")")
-        masks = thermometer_masks(exponent_vectors(I)[1])[0]
+        masks = thermometer_masks(exponent_vectors(I)[1])
         sample = betti_mod._sample(masks)
         assert len(sample) == betti_mod.SAMPLE_CHECKS
         sizes = [sum(g | lcm == lcm for g in masks) for _, lcm in sample]
@@ -635,7 +655,7 @@ class TestEngineAgainstOracleAtFullCheckSizes:
 class TestSubsetCounts:
     @given(small_ideals(), st.randoms(use_true_random=False))
     def test_subset_polynomial_matches_brute_force(self, I, shuffler):
-        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        masks = thermometer_masks(exponent_vectors(I)[1])
         want = {}
         for size in range(len(masks) + 1):
             for subset in combinations(masks, size):
@@ -658,7 +678,7 @@ class TestSubsetCounts:
 
     @given(small_ideals())
     def test_taylor_minimal_iff_every_class_is_single(self, I):
-        masks, _ = thermometer_masks(exponent_vectors(I)[1])
+        masks = thermometer_masks(exponent_vectors(I)[1])
         singles = [single for _, single in brute_force_classes(masks).values()]
         assert betti_mod._taylor_minimal(masks) == all(singles)
 

@@ -14,8 +14,11 @@ from edgeideals.cli import (
     EXIT_GUARD,
     EXIT_OK,
     EXIT_USAGE,
+    CampaignConfig,
     main,
+    run_campaign,
 )
+from edgeideals.digraphs import GraphClassTag
 from edgeideals.fixtures import FIXTURES
 
 C3_JSON = {
@@ -402,3 +405,25 @@ def test_bad_option_values_exit_2(capsys, c3_path, argv):
     code, out, err = run_cli(capsys, *[c3_path if a == "GRAPH" else a for a in argv])
     assert code == EXIT_USAGE
     assert out == "" and err
+
+
+@pytest.mark.parametrize("tag", list(GraphClassTag), ids=lambda tag: tag.value)
+def test_library_campaign_refuses_a_negative_extra_range(tag):
+    # run_campaign skips the CLI's parsing, so the config checks itself
+    with pytest.raises(ValueError):
+        run_campaign(CampaignConfig(tag, 2, (3, 3), (-3, -1), (2, 3), 1))
+
+
+@pytest.mark.parametrize(
+    "tag, ranges, message",
+    [
+        (GraphClassTag.OTHER, ((3, 3), (0, 0), (2, 3)), "class Other"),
+        (GraphClassTag.ORIENTED_CYCLE, ((5, 3), (0, 0), (2, 3)), "--cycle range '5..3' is empty"),
+        (GraphClassTag.ROOTED_FOREST, ((0, 0), (4, 2), (2, 3)), "--extra range '4..2' is empty"),
+        (GraphClassTag.UNICYCLIC_ATTACHED, ((3, 4), (1, 2), (3, 2)), "--weights range '3..2' is empty"),
+    ],
+    ids=["other-class", "empty-cycle", "empty-extra", "empty-weights"],
+)
+def test_library_campaign_refuses_a_config_verify_cannot_parse(tag, ranges, message):
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig(tag, 2, *ranges, 1)

@@ -270,8 +270,8 @@ def test_polarize_preserves_count_and_degrees(rows):
 def test_masks_are_the_polarization(rows):
     # a thermometer mask sets one bit per variable of the polarization
     I = _ideal_from_rows(rows)
-    masks = thermometer_masks(exponent_vectors(I)[1])[0]
-    polarized = thermometer_masks(exponent_vectors(polarize(I))[1])[0]
+    masks = thermometer_masks(exponent_vectors(I)[1])
+    polarized = thermometer_masks(exponent_vectors(polarize(I))[1])
     assert sorted(polarized) == sorted(masks)
 
 

@@ -226,6 +226,21 @@ def test_nerve_has_same_homology_as_union(facets):
     assert direct == nerve
 
 
+@given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=6))
+def test_nerve_maps_each_face_to_the_intersection_of_its_facets(facets):
+    # the faces are the subsets of facets with a nonempty intersection;
+    # the empty subset intersects to everything, written -1
+    want = {}
+    for S in range(1 << len(facets)):
+        inter = -1
+        for j, f in enumerate(facets):
+            if S >> j & 1:
+                inter &= f
+        if inter:
+            want[S] = inter
+    assert nerve_face_masks(facets) == want
+
+
 @pytest.mark.parametrize(
     "ideal",
     [
