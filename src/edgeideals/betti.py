@@ -394,8 +394,9 @@ def _taylor_strand(members: list[int], lcm: int) -> tuple[Counter, dict[int, int
     return Counter(c.bit_count() - 1 for c in cells), {i: h for i, h in ranks if h}
 
 
-def _sample(masks: list[int]) -> list[tuple[int, int]]:
-    """``SAMPLE_CHECKS`` fixed-seed generator subsets, as (size, lcm mask).
+def _sample(masks: list[int]) -> list[tuple[int, int, list[int]]]:
+    """``SAMPLE_CHECKS`` fixed-seed generator subsets, as (size, lcm mask,
+    facets), with the strand facets at the lcm that the nerve check ranks.
 
     A draw whose lcm class (the generators dividing its lcm) has more
     than ``SAMPLE_MAX_SIZE`` members is redrawn as a random subset one
@@ -409,10 +410,11 @@ def _sample(masks: list[int]) -> list[tuple[int, int]]:
             lcm = 0
             for i in subset:
                 lcm |= masks[i]
-            if len(_strand_facets(masks, lcm)) <= SAMPLE_MAX_SIZE:
+            facets = _strand_facets(masks, lcm)
+            if len(facets) <= SAMPLE_MAX_SIZE:
                 break
             subset = rng.sample(subset, len(subset) - 1)
-        sample.append((len(subset), lcm))
+        sample.append((len(subset), lcm, facets))
     return sample
 
 
@@ -430,7 +432,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     counts = subset_counts(masks)
     entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     sample = _sample(masks)
-    sampled = {lcm for _, lcm in sample}
+    sampled = {lcm for _, lcm, _ in sample}
     shared: dict[int, dict[int, int]] = {}  # sampled shared class's lcm mask -> its nonzero ranks
     if not _taylor_minimal(masks):
         for U, lcm in _lcm_classes(masks):
@@ -449,10 +451,10 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
-    for size, lcm in sample:
+    for size, lcm, facets in sample:
         if not counts.get((size, lcm.bit_count())):
             raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        got = {d + 1: r for d, r in _strand_homology(_strand_facets(masks, lcm)).items()}
+        got = {d + 1: r for d, r in _strand_homology(facets).items()}
         want = shared.get(lcm, {size - 1: 1})
         if got != want:
             raise AssertionError(

@@ -184,10 +184,7 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
         raise ValueError(f"{what} must look like lo..hi, got {text!r}")
-    lo, hi = int(parts[0]), int(parts[1])
-    if lo > hi:
-        raise ValueError(f"{what} range {text!r} is empty")
-    return lo, hi
+    return int(parts[0]), int(parts[1])
 
 
 def _load_graph(path: str) -> WeightedDigraph:

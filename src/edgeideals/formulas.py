@@ -24,14 +24,12 @@ from .digraphs import (
     check_hypotheses,
     classify,
     components,
-    delete_edge,
     edge_generator,
     edge_ideal,
 )
 from .monomials import (
     MonomialIdeal,
     intersect,
-    make_ideal,
     polarize,
     polarize_monomial,
 )
@@ -183,7 +181,10 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
 
     Defaults to the cycle edge entering the lowest-indexed cycle vertex.
     Only directed-cycle classes are accepted, and the edge must lie on
-    the cycle.
+    the cycle.  J and K are slices of I(D)^P's sorted minimal generators,
+    so they are sorted and minimal too.  J = I(D∖e)^P by construction:
+    each edge keeps its own generator tail·head^w(head) when another edge
+    is deleted, and polarization acts one generator at a time.
     """
     cls = classify(D)
     if cls.tag not in (GraphClassTag.ORIENTED_CYCLE, GraphClassTag.UNICYCLIC_ATTACHED):
@@ -196,17 +197,12 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
         e = (str(e[0]), str(e[1]))
         if e not in cycle_edges:
             raise ValueError(f"edge {e} is not on the cycle {'->'.join(cycle)}")
-    polarized = polarize(edge_ideal(D))
-    k_gen = polarize_monomial(edge_generator(D, *e))
-    remaining = [g for g in polarized.generators if g != k_gen]
-    if len(remaining) != len(polarized.generators) - 1:
+    I = polarize(edge_ideal(D))
+    k = polarize_monomial(edge_generator(D, *e))
+    J = MonomialIdeal(I.ambient, tuple(g for g in I.generators if g != k))
+    if len(J.generators) != len(I.generators) - 1:
         raise AssertionError("split generator did not match exactly one polarized generator")
-    J = make_ideal(remaining, polarized.ambient)
-    K = make_ideal([k_gen], polarized.ambient)
-    expected = {polarize_monomial(g) for g in edge_ideal(delete_edge(D, e)).generators}
-    if set(J.generators) != expected:
-        raise AssertionError("J is not the polarization of the edge ideal without the split edge")
-    return SplitPair(I=polarized, J=J, K=K, split_edge=e)
+    return SplitPair(I=I, J=J, K=MonomialIdeal(I.ambient, (k,)), split_edge=e)
 
 
 @dataclass(frozen=True)
@@ -228,8 +224,11 @@ def check_betti_splitting(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) 
 
     Also reports the consequences reg(I) = max{reg J, reg K, reg(J∩K)-1}
     and pd(I) = max{pd J, pd K, pd(J∩K)+1}.  G(I) must be the disjoint
-    union of G(J) and G(K).
+    union of G(J) and G(K), and neither J nor K may be zero.
     """
+    for name, part in (("J", J), ("K", K)):
+        if part.is_zero():
+            raise ValueError(f"{name} is the zero ideal; a Betti splitting needs J and K nonzero")
     gen_I, gen_J, gen_K = set(I.generators), set(J.generators), set(K.generators)
     if gen_J & gen_K or gen_J | gen_K != gen_I:
         raise ValueError("G(I) must be the disjoint union of G(J) and G(K)")

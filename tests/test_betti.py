@@ -174,7 +174,7 @@ class TestSelfChecks:
     def test_sampled_cell_without_a_count_is_caught(self, monkeypatch):
         def corrupt(T, masks):
             # past row 0, which would see a missing single generator first
-            size, lcm = next((size, lcm) for size, lcm in betti_mod._sample(masks) if size >= 2)
+            size, lcm = next((size, lcm) for size, lcm, _ in betti_mod._sample(masks) if size >= 2)
             del T[size, lcm.bit_count()]
 
         self._corrupt_counts(monkeypatch, corrupt)
@@ -508,7 +508,25 @@ class TestLcmClasses:
         betti_table(I)
         assert sizes == [1] * betti_mod.SAMPLE_CHECKS
         masks = thermometer_masks(exponent_vectors(I)[1])
-        assert listed == [2 ** (size - 1) for size, _ in betti_mod._sample(masks)]
+        assert listed == [2 ** (size - 1) for size, _, _ in betti_mod._sample(masks)]
+
+    def test_each_sampled_strand_is_built_once(self, monkeypatch):
+        # The sample keeps each draw's facets for the nerve check, so the
+        # facets are built once per draw, not again for the check.
+        I = oriented_cycle_ideal(10)
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        sample = betti_mod._sample(masks)
+        assert all(f == betti_mod._strand_facets(masks, lcm) for _, lcm, f in sample)
+        strand_facets, built = betti_mod._strand_facets, []
+
+        def facets(masks, lcm):
+            built.append(lcm)
+            return strand_facets(masks, lcm)
+
+        monkeypatch.setattr(betti_mod, "_strand_facets", facets)
+        betti_table(I)
+        assert len(built) == betti_mod.SAMPLE_CHECKS
+        assert built == [lcm for _, lcm, _ in sample]
 
     @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
     def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):
@@ -531,7 +549,7 @@ class TestLcmClasses:
         masks = thermometer_masks(exponent_vectors(I)[1])
         sample = betti_mod._sample(masks)
         assert len(sample) == betti_mod.SAMPLE_CHECKS
-        sizes = [sum(g | lcm == lcm for g in masks) for _, lcm in sample]
+        sizes = [sum(g | lcm == lcm for g in masks) for _, lcm, _ in sample]
         assert max(sizes) <= betti_mod.SAMPLE_MAX_SIZE < len(masks)
         assert sample == betti_mod._sample(masks)
         assert betti_table(I).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}

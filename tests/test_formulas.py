@@ -6,6 +6,9 @@ from edgeideals.betti import GuardError, betti_table
 from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
+    classify,
+    delete_edge,
+    edge_generator,
     edge_ideal,
     normalize_source_weights,
     random_instance,
@@ -21,9 +24,16 @@ from edgeideals.formulas import (
     split_and_check,
     verify_formula,
 )
-from edgeideals.monomials import make_ideal, parse_ideal, parse_monomial, polarize
+from edgeideals.monomials import (
+    MonomialIdeal,
+    make_ideal,
+    parse_ideal,
+    parse_monomial,
+    polarize,
+    polarize_monomial,
+)
 
-from conftest import random_ideal
+from conftest import random_ideal, seeded_graph
 
 
 def cycle_graph(n, weight=2):
@@ -220,6 +230,37 @@ class TestBuildSplit:
         assert set(pair.J.generators) | set(pair.K.generators) == set(full.generators)
         assert not set(pair.J.generators) & set(pair.K.generators)
 
+    @pytest.mark.parametrize("weights", [(1, 3), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("tag,sizes", [
+        ("OrientedCycle", range(3, 10)),
+        ("UnicyclicAttached", (4, 6, 8)),
+    ])
+    def test_slices_are_the_polarized_edge_ideals(self, tag, sizes, weights):
+        # J and K are slices of I(D)^P; J is I(D minus e)^P and is already
+        # minimal and sorted, and K is the split edge's polarized generator.
+        for size in sizes:
+            for seed in (1, 2):
+                D = seeded_graph(tag, size, weights, seed)
+                cycle = classify(D).witness
+                for e in zip(cycle, cycle[1:] + cycle[:1]):
+                    pair = build_split(D, e)
+                    J, I = pair.J, pair.I
+                    without = edge_ideal(delete_edge(D, e)).generators
+                    assert set(J.generators) == {polarize_monomial(g) for g in without}
+                    assert J.generators == make_ideal(J.generators, I.ambient).generators
+                    assert pair.K.generators == (polarize_monomial(edge_generator(D, *e)),)
+
+    def test_builds_the_edge_ideal_once(self, monkeypatch):
+        calls = []
+
+        def counted(D):
+            calls.append(D)
+            return edge_ideal(D)
+
+        monkeypatch.setattr(formulas_mod, "edge_ideal", counted)
+        build_split(FIXTURES["2.9"].graph)
+        assert len(calls) == 1
+
 
 class TestCheckBettiSplitting:
     def test_split_of_small_cycle_is_a_splitting(self):
@@ -257,6 +298,17 @@ class TestCheckBettiSplitting:
         J = make_ideal([parse_monomial("x1*x2")], I.ambient)
         with pytest.raises(ValueError, match="disjoint union"):
             check_betti_splitting(I, J, J)
+
+    @pytest.mark.parametrize("zero_part", ["J", "K"])
+    def test_zero_part_rejected_before_any_table(self, monkeypatch, zero_part):
+        I = parse_ideal("(x1*x2, x1*x3)")
+        zero = MonomialIdeal(I.ambient, ())
+        tables = []
+        monkeypatch.setattr(formulas_mod, "betti_table", tables.append)
+        J, K = (zero, I) if zero_part == "J" else (I, zero)
+        with pytest.raises(ValueError, match=f"^{zero_part} is the zero ideal"):
+            check_betti_splitting(I, J, K)
+        assert tables == []
 
 
 class TestLinearResolution:
