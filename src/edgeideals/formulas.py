@@ -55,17 +55,23 @@ class FormulaPrediction:
     edge_count: int
 
 
-def predict(D: WeightedDigraph) -> FormulaPrediction:
+def predict(
+    D: WeightedDigraph,
+    *,
+    comps: list[WeightedDigraph] | None = None,
+    cls: GraphClass | None = None,
+) -> FormulaPrediction:
     """Evaluate the closed-form reg/pd predictions for a graph.
 
     Sources count as 1 in the weight sum, since their weight never
     enters the edge ideal; isolated vertices are excluded from the
-    weight sum and the component count.
+    weight sum and the component count.  ``comps`` and ``cls`` are
+    ``components(D)`` and ``classify(D)`` when the caller already has them.
     """
     if not D.edges:
         raise ValueError("the formulas need at least one edge")
-    comps = components(D)
-    cls = classify(D, comps)
+    comps = components(D) if comps is None else comps
+    cls = classify(D, comps) if cls is None else cls
     hyp = check_hypotheses(D, cls)
     sum_w = sum(1 if D.is_source(n) else w for n, w in D.vertices if D.degree(n) > 0)
     n_edges = len(D.edges)
@@ -176,7 +182,9 @@ class SplitPair:
     split_edge: tuple[str, str]
 
 
-def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPair:
+def build_split(
+    D: WeightedDigraph, e: tuple[str, str] | None = None, *, cls: GraphClass | None = None
+) -> SplitPair:
     """Split the polarized edge ideal along a cycle edge.
 
     Defaults to the cycle edge entering the lowest-indexed cycle vertex.
@@ -184,9 +192,10 @@ def build_split(D: WeightedDigraph, e: tuple[str, str] | None = None) -> SplitPa
     the cycle.  J and K are slices of I(D)^P's sorted minimal generators,
     so they are sorted and minimal too.  J = I(D∖e)^P by construction:
     each edge keeps its own generator tail·head^w(head) when another edge
-    is deleted, and polarization acts one generator at a time.
+    is deleted, and polarization acts one generator at a time.  ``cls``
+    is ``classify(D)`` when the caller already has it.
     """
-    cls = classify(D)
+    cls = classify(D) if cls is None else cls
     if cls.tag not in (GraphClassTag.ORIENTED_CYCLE, GraphClassTag.UNICYCLIC_ATTACHED):
         raise ValueError(f"build_split needs a single directed cycle; graph is {cls.tag.value}")
     cycle = cls.witness
@@ -274,9 +283,11 @@ def split_and_check(D: WeightedDigraph, e: tuple[str, str] | None = None):
     linear-resolution status of K and how reg/pd of J∩K compare with the
     values Σw - |E| + 2 and |E| - 2 that the splitting argument predicts.
     """
-    pair = build_split(D, e)
+    comps = components(D)
+    cls = classify(D, comps)
+    pair = build_split(D, e, cls=cls)
     verdict = check_betti_splitting(pair.I, pair.J, pair.K)
-    prediction = predict(D)
+    prediction = predict(D, comps=comps, cls=cls)
     jk_reg = verdict.table_JK.reg()
     jk_pd = verdict.table_JK.pd()
     extras = {

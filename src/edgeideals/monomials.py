@@ -16,7 +16,7 @@ Textual syntax, used by the CLI and the tests:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import total_ordering
 from itertools import accumulate
 from typing import Iterable, Mapping, Sequence
@@ -53,6 +53,7 @@ class Variable:
 
     base: str
     polar: int | None = None
+    _sort_key: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.base or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.base):
@@ -65,12 +66,13 @@ class Variable:
             )
         if self.polar is not None and self.polar < 1:
             raise ValueError(f"polarization index must be >= 1, got {self.polar}")
+        object.__setattr__(self, "_sort_key", (_natural_key(self.base), self.polar or 0))
 
     def is_polarized(self) -> bool:
         return self.polar is not None
 
     def sort_key(self) -> tuple:
-        return (_natural_key(self.base), self.polar or 0)
+        return self._sort_key
 
     def __lt__(self, other: "Variable") -> bool:
         return self.sort_key() < other.sort_key()
@@ -91,7 +93,7 @@ class Monomial:
     deterministic total order used for stable output.
     """
 
-    __slots__ = ("_exp", "_key", "_hash")
+    __slots__ = ("_exp", "_key", "_hash", "_order")
 
     def __init__(self, exponents: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
         exp = dict(exponents.items() if isinstance(exponents, Mapping) else exponents)
@@ -104,6 +106,7 @@ class Monomial:
         self._exp = exp
         self._key = tuple(sorted(((v, e) for v, e in exp.items()), key=lambda t: t[0].sort_key()))
         self._hash = hash(self._key)
+        self._order = (sum(exp.values()), tuple((v.sort_key(), e) for v, e in self._key))
 
     @property
     def exponents(self) -> dict[Variable, int]:
@@ -144,9 +147,7 @@ class Monomial:
         return self._hash
 
     def __lt__(self, other: "Monomial") -> bool:
-        a = (self.degree(), tuple((v.sort_key(), e) for v, e in self._key))
-        b = (other.degree(), tuple((v.sort_key(), e) for v, e in other._key))
-        return a < b
+        return self._order < other._order
 
     def __str__(self) -> str:
         if not self._exp:

@@ -5,10 +5,10 @@ generator subset, in multidegree lcm of the subset) resolves S/I; its
 strand in a fixed multidegree, after killing the nonunit entries,
 computes the same graded Betti numbers as the minimal resolution.  The
 engine in ``betti`` reads its tables off the same strands but shares no
-code with this oracle, which groups all 2^m subsets by exponent vector
-and eliminates dense matrices over ``Fraction``.  A strand that holds a
-single subset S is one cell, counted at (|S| - 1, deg lcm S) with no
-matrix.
+code with this oracle, which groups all 2^m subsets by an integer lcm
+code of its own and ranks dense boundary matrices by fraction-free
+(Bareiss) elimination over the integers.  A strand that holds a single
+subset S is one cell, counted at (|S| - 1, deg lcm S) with no matrix.
 
 Also home to the Euler-characteristic identity: for each degree j the
 alternating sum of β_{i,j}(S/I) equals the alternating subset count
@@ -22,7 +22,6 @@ check it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .monomials import MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
 
@@ -30,44 +29,62 @@ TAYLOR_GUARD = 16  # generators; the oracle visits all 2^m subsets
 
 
 def rank_over_q(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by plain Gaussian elimination over Fraction."""
-    m = [[Fraction(x) for x in row] for row in rows if any(row)]
+    """Rank over Q of an integer matrix by dense Bareiss elimination.
+
+    Fraction-free: pivots are taken column by column (swapping rows as
+    needed), and each row below the pivot p becomes
+    (p·row − x·prow) // prev, where x is its entry in the pivot column and
+    prev the previous pivot.  Every entry stays a minor of the input, so
+    the division is exact and the rank is the rank over Q.  When p = prev,
+    rows with x = 0 are left as they are.  A pivot row with p = −prev is
+    negated first, as if its input row were, which keeps the rank and makes
+    p = prev.
+    """
+    m = [list(row) for row in rows if any(row)]
     if not m:
         return 0
-    ncols = len(m[0])
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][col]:
-                piv = r
-                break
+    rank, prev = 0, 1
+    for col in range(len(m[0])):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        prow = m[rank]
-        inv = 1 / prow[col]
-        for r in range(rank + 1, len(m)):
-            row = m[r]
-            if row[col]:
-                factor = row[col] * inv
-                for c in range(col, ncols):
-                    row[c] -= factor * prow[c]
+        ptail = m[rank][col:]
+        if ptail[0] == -prev:
+            ptail = [-a for a in ptail]
+        p = ptail[0]
+        for row in m[rank + 1:]:
+            x = row[col]
+            if x or p != prev:
+                row[col:] = [(p * a - x * b) // prev for a, b in zip(row[col:], ptail)]
+        prev = p
         rank += 1
         if rank == len(m):
             break
     return rank
 
 
-def _subset_lcms(I: MonomialIdeal) -> list[tuple[int, ...]]:
-    """Exponent-vector lcm for every generator subset mask."""
-    _, gens = exponent_vectors(I)
-    n = len(gens[0])
-    m = len(gens)
-    lcms: list[tuple[int, ...]] = [(0,) * n] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        lcms[mask] = tuple(map(max, lcms[mask ^ low], gens[low.bit_length() - 1]))
+def _subset_lcms(I: MonomialIdeal) -> list[int]:
+    """lcm code of every generator subset, indexed by mask (bit k = generator k).
+
+    The oracle's own encoding, written here rather than taken from
+    ``monomials.thermometer_masks`` so that a fault in the engine's
+    encoding cannot hide in the oracle too.  Each variable gets a unary
+    field as wide as its largest exponent, and exponent e sets the field's
+    low e bits.  The code is injective, the lcm of a subset is the OR of
+    its generators' codes, and its degree is the code's ``bit_count()``.
+    The 2^m codes are built by doubling and hold W bits each, W being the
+    total exponent width (the engine's mask width).
+    """
+    _, vectors = exponent_vectors(I)
+    codes, shift = [0] * len(vectors), 0
+    for column in zip(*vectors):
+        for k, e in enumerate(column):
+            codes[k] |= ((1 << e) - 1) << shift
+        shift += max(column)
+    lcms = [0]
+    for g in codes:
+        lcms += [c | g for c in lcms]
     return lcms
 
 
@@ -82,13 +99,13 @@ def taylor_betti_table(I: MonomialIdeal):
         raise GuardError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
     lcms = _subset_lcms(I)
 
-    strands: dict[tuple[int, ...], list[int]] = {}
+    strands: dict[int, list[int]] = {}
     for mask in range(1, 1 << m):
         strands.setdefault(lcms[mask], []).append(mask)
 
     entries: dict[tuple[int, int], int] = {}
-    for b, masks in strands.items():
-        j = sum(b)
+    for code, masks in strands.items():
+        j = code.bit_count()
         if len(masks) == 1:
             # A lone subset S is the strand's only cell: β_{|S|-1, j} gets 1.
             key = (masks[0].bit_count() - 1, j)
@@ -96,7 +113,7 @@ def taylor_betti_table(I: MonomialIdeal):
             continue
         by_size: dict[int, list[int]] = {}
         for mask in masks:
-            by_size.setdefault(bin(mask).count("1"), []).append(mask)
+            by_size.setdefault(mask.bit_count(), []).append(mask)
         top = max(by_size)
         boundary_rank: dict[int, int] = {}
         for k in range(2, top + 1):

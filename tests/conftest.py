@@ -12,6 +12,7 @@ settings.register_profile(
     max_examples=30,
     suppress_health_check=[HealthCheck.too_slow],
 )
+settings.register_profile("deep", parent=settings.get_profile("suite"), max_examples=300)
 settings.load_profile("suite")
 
 

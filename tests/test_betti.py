@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import edgeideals.betti as betti_mod
+import edgeideals.simplicial as simplicial_mod
 import edgeideals.taylor as taylor_mod
 from edgeideals.betti import (
     BettiTable,
@@ -633,6 +634,56 @@ class TestLcmClasses:
         table = betti_table(I)
         monkeypatch.setattr(betti_mod, "betti_table", None)
         assert invariants(I, table) == InvariantSummary(11, 3, 0, 4)
+
+
+@st.composite
+def exponent_ideals(draw):
+    """Ideals with exponents up to 5 whose ambient has variables outside the support."""
+    n, extra = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    ambient = tuple(Variable(f"x{i}") for i in range(1, n + extra + 1))
+    shuffled = draw(st.permutations(ambient))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(0, 5)] * n).filter(any), min_size=1, max_size=7)
+    )
+    return make_ideal([Monomial(dict(zip(shuffled, vec))) for vec in vectors], ambient)
+
+
+class TestTaylorOracle:
+    @given(exponent_ideals())
+    def test_oracle_lcm_codes_match_exponent_lcms(self, I):
+        vectors = [tuple(g.exponent(v) for v in I.ambient) for g in I.generators]
+        codes = taylor_mod._subset_lcms(I)
+        assert len(codes) == 1 << len(vectors)
+        lcms = []
+        for mask in range(len(codes)):
+            members = [vec for k, vec in enumerate(vectors) if mask >> k & 1]
+            lcms.append(tuple(map(max, zip(*members))) if members else (0,) * len(I.ambient))
+        # Same partition of the subsets (equal codes iff equal lcms), and the
+        # popcount is the degree.
+        assert len(set(codes)) == len(set(lcms)) == len(set(zip(codes, lcms)))
+        assert [c.bit_count() for c in codes] == [sum(lcm) for lcm in lcms]
+
+    @given(small_ideals())
+    def test_oracle_uses_no_engine_encoder_or_rank(self, I):
+        want = taylor_betti_table(I)
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name in (
+                (taylor_mod, "thermometer_masks"),
+                (taylor_mod, "subset_counts"),
+                (simplicial_mod, "exact_rank"),
+            ):
+                mp.setattr(module, name, _refuse)
+            assert taylor_betti_table(I) == want
+
+    def test_oracle_on_a_dense_non_minimal_ideal(self):
+        # 11 generators on 6 variables: large strands, so dense rank dominates.
+        I = random_ideal(random.Random(24), n_vars=6, max_gens=12, max_exp=3)
+        assert len(I.generators) == 11
+        assert betti_table(I) == taylor_betti_table(I)
+
+
+def _refuse(*args):
+    raise AssertionError("the oracle called an engine function")
 
 
 class TestEngineAgainstOracleAtFullCheckSizes:

@@ -271,6 +271,18 @@ class TestCheckBettiSplitting:
         assert extras["JK_reg"] == extras["JK_reg_expected"]
         assert extras["JK_pd"] == extras["JK_pd_expected"]
 
+    def test_split_and_check_classifies_once(self, monkeypatch):
+        calls = []
+
+        def counted(D, comps=None):
+            calls.append(D)
+            return classify(D, comps)
+
+        monkeypatch.setattr(formulas_mod, "classify", counted)
+        D = random_instance("OrientedCycle", cycle_len=6, weight_range=(2, 3), seed=1)
+        split_and_check(D)
+        assert len(calls) == 1
+
     def test_disjoint_pair_splits(self):
         I = parse_ideal("(x1*x2, x3*x4)")
         J = make_ideal([parse_monomial("x1*x2")], I.ambient)

@@ -1,4 +1,6 @@
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -126,14 +128,39 @@ def dense(rows, ncols):
     return [[row.get(j, 0) for j in range(ncols)] for row in rows]
 
 
+def fraction_rank(rows):
+    """Reference rank: plain Gaussian elimination over Fraction."""
+    m = [[Fraction(x) for x in row] for row in rows if any(row)]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        prow = m[rank]
+        for row in m[rank + 1:]:
+            factor = row[col] / prow[col]
+            for c in range(col, len(prow)):
+                row[c] -= factor * prow[c]
+        rank += 1
+    return rank
+
+
 @given(matrices)
-def test_exact_rank_matches_fraction_elimination(rows):
-    assert exact_rank(sparse(rows)) == rank_over_q(rows)
+def test_exact_rank_and_oracle_rank_match_fraction_rank(rows):
+    assert exact_rank(sparse(rows)) == rank_over_q(rows) == fraction_rank(rows)
 
 
 @given(deficient_matrices())
-def test_exact_rank_of_dependent_rows_matches_fraction_elimination(rows):
-    assert exact_rank(sparse(rows)) == rank_over_q(rows)
+def test_exact_rank_and_oracle_rank_of_dependent_rows_match_fraction_rank(rows):
+    assert exact_rank(sparse(rows)) == rank_over_q(rows) == fraction_rank(rows)
+
+
+def test_oracle_rank_leaves_its_argument_unchanged():
+    rows = [[2, 3, 0], [4, 6, 1], [6, 10, 5], [0, 0, 0]]
+    before = [list(row) for row in rows]
+    assert rank_over_q(rows) == 3
+    assert rows == before
 
 
 def test_exact_rank_known_values():
@@ -144,6 +171,12 @@ def test_exact_rank_known_values():
     assert exact_rank([]) == 0
     assert rank_over_q([]) == 0
     assert rank_over_q([[0, 0, 0], [0, 0, 0]]) == 0
+    # Non-unit pivots.  Rows with a zero in the first pivot column must still
+    # be scaled by 7, or the second step's division by 7 is not exact.
+    assert rank_over_q([[2, 1, 0], [3, 3, 1], [0, 6, 4]]) == 2
+    assert rank_over_q([[7, -3, 5], [0, 5, 0], [0, 2, 1]]) == 3
+    # The second pivot is −1 = −prev, so its row is negated before eliminating.
+    assert rank_over_q([[1, 1, 0], [1, 0, 1], [0, 1, 1]]) == 3
     # Non-unit entries; all but [[2, 0], [0, 3]] reach the non-unit pivot step.
     assert exact_rank(sparse([[2, 3], [4, 6]])) == 1
     assert exact_rank(sparse([[2, 0], [0, 3]])) == 2
