@@ -21,10 +21,11 @@ Everything is exact, and every table is checked: row 0 against the
 generator degrees; a fixed-seed sample of strands taken a second way,
 through the nerve of the polarization's strand complex, ranked relative
 to the closed star of one nerve vertex (a cone, so the reduced homology
-is unchanged) with its cells read off the deletion of that vertex; the
-degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
-generators, the whole table against the Taylor oracle, which shares the
-Taylor strand with this module as mathematics but not as code.
+is unchanged) with its cells read off the deletion of that vertex, once
+per distinct lcm drawn; the degree moments of the subset counts; and,
+up to ``FULL_CHECK_LIMIT`` generators, the whole table against the
+Taylor oracle, which shares the Taylor strand with this module as
+mathematics but not as code.
 """
 
 from __future__ import annotations
@@ -37,17 +38,25 @@ from math import comb
 from typing import Iterator, Mapping
 
 from . import taylor
-from .monomials import Monomial, MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
+from .monomials import (
+    Monomial,
+    MonomialIdeal,
+    exponent_vectors,
+    set_bit_positions,
+    subset_counts,
+    thermometer_masks,
+)
 from .simplicial import SimplicialComplexOnSupport, homology_ranks_of_masks, nerve_face_masks
 
 DEFAULT_GENERATOR_GUARD = 20
 MAX_STRAND_GROUND = 24
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
 # oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
-# SAMPLE_MAX_SIZE generators go through the nerve path.  A class of s
-# generators lists up to 2^(s-1) nerve faces, those of the deletion of one
-# vertex: on a 2-vCPU host with Python 3.11, a single class of 8 took
-# 0.1 ms, of 16 about 26 ms and of 20 about 0.53 s, listing included.
+# SAMPLE_MAX_SIZE generators go through the nerve path, each distinct lcm
+# once.  A class of s generators lists up to 2^(s-1) nerve faces, those of
+# the deletion of one vertex: on a 2-vCPU host with Python 3.11.7, a single
+# class of 8 takes 0.09 ms, of 16 about 25 ms and of 20 about 0.49 s,
+# listing included.
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -342,22 +351,37 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
     count C(c_x, 2) times, and those across x and y count c_x·c_y times.
     """
     m, W = len(masks), max(masks).bit_length()
-    owners = Counter(sum(1 << i for i, mask in enumerate(masks) if mask >> b & 1) for b in range(W))
-    single, pair = Counter(), Counter()
-    groups = list(owners.items())
+    owner_sets = [0] * W
+    for i, mask in enumerate(masks):
+        for b in set_bit_positions(mask):
+            owner_sets[b] |= 1 << i
+    groups = list(Counter(owner_sets).items())
+    single: dict[int, int] = {}  # |x| -> bits
+    pair: dict[int, int] = {}  # |x ∪ y| -> pairs of bits
     for p, (x, c) in enumerate(groups):
-        single[x.bit_count()] += c
-        pair[x.bit_count()] += comb(c, 2)
+        s = x.bit_count()
+        single[s] = single.get(s, 0) + c
+        pair[s] = pair.get(s, 0) + c * (c - 1) // 2
         for y, d in groups[p + 1:]:
-            pair[(x | y).bit_count()] += c * d
+            u = (x | y).bit_count()
+            pair[u] = pair.get(u, 0) + c * d
     got: dict[int, list[int]] = {}
     for (k, j), c in T.items():
-        got[k] = [g + comb(j, r) * c for r, g in enumerate(got.get(k, (0, 0, 0)))]
+        g = got.setdefault(k, [0, 0, 0])
+        g[0] += c
+        g[1] += j * c
+        g[2] += j * (j - 1) // 2 * c
+    sizes = sorted(single.keys() | pair.keys())
     want = {}
     for k in range(m + 1):
         n = comb(m, k)
-        missed = sum(c * comb(m - s, k) for s, c in single.items())
-        both = sum(c * comb(m - s, k) for s, c in pair.items())
+        missed = both = 0
+        for s in sizes:
+            if m - s < k:
+                break  # M(x) = 0 from here on
+            M = comb(m - s, k)
+            missed += single.get(s, 0) * M
+            both += pair.get(s, 0) * M
         want[k] = [n, W * n - missed, comb(W, 2) * n - (W - 1) * missed + both]
     if got != want:
         raise AssertionError(f"subset-count degree moments {got} differ from the bit owners' {want}")
@@ -451,10 +475,14 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if row0 != by_degree:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
+    nerve: dict[int, dict[int, int]] = {}  # sampled lcm mask -> its strand's ranks, by the nerve
     for size, lcm, facets in sample:
         if not counts.get((size, lcm.bit_count())):
             raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        got = {d + 1: r for d, r in _strand_homology(facets).items()}
+        # One lcm has one set of facets, so each distinct lcm is ranked once.
+        if lcm not in nerve:
+            nerve[lcm] = {d + 1: r for d, r in _strand_homology(facets).items()}
+        got = nerve[lcm]
         want = shared.get(lcm, {size - 1: 1})
         if got != want:
             raise AssertionError(

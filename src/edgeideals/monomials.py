@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import total_ordering
-from itertools import accumulate
+from functools import lru_cache, total_ordering
+from itertools import accumulate, compress, count, repeat
+from operator import floordiv
 from typing import Iterable, Mapping, Sequence
 
 
@@ -31,15 +32,28 @@ class IdealSyntaxError(ValueError):
         self.pos = pos
 
 
-def _natural_key(name: str) -> tuple:
-    """Sort key that orders x2 before x10 (digit runs compare numerically)."""
-    parts = []
-    for run in re.findall(r"\d+|\D+", name):
-        if run.isdigit():
-            parts.append((1, "", int(run)))
-        else:
-            parts.append((0, run, 0))
-    return tuple(parts)
+@lru_cache(maxsize=4096)
+def _name_key(base: str) -> tuple:
+    """Validate a base variable name and return its sort key, once per name.
+
+    Digit runs compare numerically, so x2 sorts before x10.  Names whose
+    runs compare equal (x1 and x01) are ordered by the name itself, so
+    distinct variables never share a key.  Raises ``ValueError`` for a name
+    no variable can have; ``lru_cache`` keeps no failures, so every bad
+    name raises afresh.
+    """
+    if not base or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", base):
+        raise ValueError(f"invalid variable name: {base!r}")
+    if re.search(r"_\d+$", base):
+        # would render identically to a polarized variable
+        raise ValueError(
+            f"variable name {base!r} ends in _<digits>, which is reserved "
+            f"for polarization indices"
+        )
+    natural = tuple(
+        (1, "", int(run)) if run.isdigit() else (0, run, 0) for run in re.findall(r"\d+|\D+", base)
+    )
+    return natural, base
 
 
 @total_ordering
@@ -54,19 +68,17 @@ class Variable:
     base: str
     polar: int | None = None
     _sort_key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.base or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", self.base):
-            raise ValueError(f"invalid variable name: {self.base!r}")
-        if re.search(r"_\d+$", self.base):
-            # would render identically to a polarized variable
-            raise ValueError(
-                f"variable name {self.base!r} ends in _<digits>, which is reserved "
-                f"for polarization indices"
-            )
+        name_key = _name_key(self.base)
         if self.polar is not None and self.polar < 1:
             raise ValueError(f"polarization index must be >= 1, got {self.polar}")
-        object.__setattr__(self, "_sort_key", (_natural_key(self.base), self.polar or 0))
+        object.__setattr__(self, "_sort_key", (name_key, self.polar or 0))
+        object.__setattr__(self, "_hash", hash((self.base, self.polar)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def is_polarized(self) -> bool:
         return self.polar is not None
@@ -104,9 +116,9 @@ class Monomial:
                 raise ValueError(f"negative exponent {e} for {v}")
         exp = {v: e for v, e in exp.items() if e != 0}
         self._exp = exp
-        self._key = tuple(sorted(((v, e) for v, e in exp.items()), key=lambda t: t[0].sort_key()))
+        self._key = tuple(sorted(exp.items(), key=lambda t: t[0]._sort_key))
         self._hash = hash(self._key)
-        self._order = (sum(exp.values()), tuple((v.sort_key(), e) for v, e in self._key))
+        self._order = (sum(exp.values()), tuple((v._sort_key, e) for v, e in self._key))
 
     @property
     def exponents(self) -> dict[Variable, int]:
@@ -215,18 +227,23 @@ def make_ideal(raw_generators: Iterable[Monomial], ambient: Iterable[Variable]) 
     if len(set(amb)) != len(amb):
         raise ValueError("ambient contains repeated variables")
     amb_set = set(amb)
-    gens: list[Monomial] = []
+    gens: set[Monomial] = set()
     for g in raw_generators:
         if g.is_unit():
             raise ValueError("unit monomial among generators: the unit ideal is unsupported")
-        outside = g.support() - amb_set
-        if outside:
-            names = ", ".join(sorted(str(v) for v in outside))
+        if not amb_set.issuperset(g._exp):
+            names = ", ".join(sorted(str(v) for v in g.support() - amb_set))
             raise ValueError(f"generator {g} uses variables outside the ambient: {names}")
-        if g not in gens:
-            gens.append(g)
-    minimal = [g for g in gens if not any(h is not g and h.divides(g) for h in gens)]
-    minimal.sort()
+        gens.add(g)
+    # Sorted by degree first, a proper divisor of g comes before g, and so
+    # does a minimal generator dividing g.  A divisor's variables all occur
+    # in g, so each kept generator is filed under its first variable only.
+    minimal: list[Monomial] = []
+    by_first: dict[Variable, list[Monomial]] = {}
+    for g in sorted(gens):
+        if not any(h.divides(g) for v in g._exp for h in by_first.get(v, ())):
+            minimal.append(g)
+            by_first.setdefault(g._key[0][0], []).append(g)
     return MonomialIdeal(amb, tuple(minimal))
 
 
@@ -239,7 +256,14 @@ def exponent_vectors(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple
     """supp(I) in ambient order, and each generator's exponents over it."""
     sup = I.support()
     order = tuple(v for v in I.ambient if v in sup)
-    return order, [tuple(g.exponent(v) for v in order) for g in I.generators]
+    position = {v: k for k, v in enumerate(order)}
+    vectors = []
+    for g in I.generators:
+        vec = [0] * len(order)
+        for v, e in g._exp.items():
+            vec[position[v]] = e
+        vectors.append(tuple(vec))
+    return order, vectors
 
 
 def thermometer_masks(vectors: Sequence[Sequence[int]]) -> list[int]:
@@ -263,21 +287,35 @@ def thermometer_masks(vectors: Sequence[Sequence[int]]) -> list[int]:
     return masks
 
 
+def set_bit_positions(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending, in O(width) C steps."""
+    return list(compress(count(), map("1".__eq__, bin(mask)[:1:-1])))
+
+
 def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:
     """T(t, u) = Σ_S t^{|S|} u^{deg lcm S} over all generator subsets S, as
     {(|S|, degree): count}, the empty subset included.
 
     Each bit is a variable of the polarization, so deg lcm S is the number
     of bits set in some member of S, and a frontier DP over the generators
-    counts the subsets exactly.  The state is the OR of the taken masks
+    counts the subsets exactly.  A state is the OR of the taken masks
     restricted to the open bits (seen, and still to be seen again); after a
     bit's last owner it is counted into the degree and cleared.  Generators
     go in BFS order over shared bits, which keeps few bits open at once.
     States never outnumber the subsets of the generators seen so far.
+
+    Each state holds its polynomial in t and u packed into one int: the
+    count at t^k u^j is the B-bit field at bit (k·(W+1) + j)·B, W being
+    the mask width and B = m + 1 rounded up to a whole byte.  Taking a
+    generator shifts by one power of t, closing bits by their number of
+    powers of u, and two states that meet add.  Every field of every state
+    counts k-subsets of the generators seen so far, at most C(m, k) < 2^m,
+    so no field carries into the next, and the result is unpacked once.
     """
     m = len(masks)
-    set_bits = [[b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"] for mask in masks]
-    owners: list[list[int]] = [[] for _ in range(max(masks, default=0).bit_length())]
+    width = max(masks, default=0).bit_length()
+    set_bits = [set_bit_positions(mask) for mask in masks]
+    owners: list[list[int]] = [[] for _ in range(width)]
     for i, own in enumerate(set_bits):
         for b in own:
             owners[b].append(i)
@@ -298,18 +336,30 @@ def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:
     later = [0] * (m + 1)  # position in order -> OR of the masks from there on
     for pos in range(m - 1, -1, -1):
         later[pos] = later[pos + 1] | masks[order[pos]]
-    states = {(0, 0, 0): 1}  # (open bits of the lcm, |S|, closed degree) -> subsets
+    field_bytes = m // 8 + 1
+    B = 8 * field_bytes
+    take = (width + 1) * B  # one power of t
+    states = {0: 1}  # open bits of the lcm -> packed polynomial of its subsets
     for pos, i in enumerate(order):
         mask = masks[i]
         close = mask & ~later[pos + 1]  # the bits whose last owner this is
-        step: dict[tuple[int, int, int], int] = {}
-        for (state, size, degree), count in states.items():
-            for bits, k in ((state, size), (state | mask, size + 1)):
-                done = bits & close
-                key = (bits ^ done, k, degree + done.bit_count())
-                step[key] = step.get(key, 0) + count
+        step: dict[int, int] = {}
+        for bits, poly in states.items():
+            done = bits & close
+            key = bits ^ done
+            step[key] = step.get(key, 0) + (poly << done.bit_count() * B)
+            bits |= mask
+            done = bits & close
+            key = bits ^ done
+            step[key] = step.get(key, 0) + (poly << take + done.bit_count() * B)
         states = step
-    return {(size, degree): count for (_, size, degree), count in states.items()}
+    raw = states[0].to_bytes((m + 1) * take // 8, "little")
+    out = {}
+    # the fields with a nonzero byte, found at C speed
+    for index in dict.fromkeys(map(floordiv, compress(range(len(raw)), raw), repeat(field_bytes))):
+        start = index * field_bytes
+        out[divmod(index, width + 1)] = int.from_bytes(raw[start:start + field_bytes], "little")
+    return out
 
 
 def intersect(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:

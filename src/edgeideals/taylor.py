@@ -8,7 +8,9 @@ engine in ``betti`` reads its tables off the same strands but shares no
 code with this oracle, which groups all 2^m subsets by an integer lcm
 code of its own and ranks dense boundary matrices by fraction-free
 (Bareiss) elimination over the integers.  A strand that holds a single
-subset S is one cell, counted at (|S| - 1, deg lcm S) with no matrix.
+subset S is one cell, counted at (|S| - 1, deg lcm S) with no matrix;
+those cells are counted in one pass of C loops (``Counter`` and ``map``
+over the codes), and only the subsets of a shared code are listed.
 
 Also home to the Euler-characteristic identity: for each degree j the
 alternating sum of β_{i,j}(S/I) equals the alternating subset count
@@ -21,7 +23,10 @@ check it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import add
 
 from .monomials import MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
 
@@ -89,7 +94,13 @@ def _subset_lcms(I: MonomialIdeal) -> list[int]:
 
 
 def taylor_betti_table(I: MonomialIdeal):
-    """Betti table of I from Taylor strands (``of_ideal`` convention)."""
+    """Betti table of I from Taylor strands (``of_ideal`` convention).
+
+    Every subset is first counted as one cell by its size and lcm degree.
+    The subsets of each code that more than one subset has are taken back
+    out and ranked as a strand: the simplex on them relative to the
+    subsets of smaller lcm, one dense boundary matrix per size.
+    """
     from .betti import BettiTable, GuardError  # local import: the engine also imports us
 
     if I.is_zero():
@@ -98,19 +109,28 @@ def taylor_betti_table(I: MonomialIdeal):
     if m > TAYLOR_GUARD:
         raise GuardError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
     lcms = _subset_lcms(I)
-
+    multiplicity = Counter(lcms)
+    # Every subset S is first counted as one cell at (|S|, deg lcm S), in C
+    # loops over keys |S|·stride + degree; the sizes are built by doubling,
+    # as the codes are.  The subsets of a shared code are then taken back
+    # out and form a strand whose boundary is ranked.
+    stride = lcms[-1].bit_length() + 1
+    sizes = [0]
+    for _ in range(m):
+        sizes += [s + stride for s in sizes]
+    cells = Counter(map(add, sizes, map(int.bit_count, lcms)))
     strands: dict[int, list[int]] = {}
-    for mask in range(1, 1 << m):
-        strands.setdefault(lcms[mask], []).append(mask)
+    if len(multiplicity) < len(lcms):
+        shared = {code for code, n in multiplicity.items() if n > 1}
+        for mask in compress(range(1 << m), map(shared.__contains__, lcms)):
+            strands.setdefault(lcms[mask], []).append(mask)
+            cells[sizes[mask] + lcms[mask].bit_count()] -= 1
+    # A lone subset S is its strand's only cell: β_{|S|-1, j} gets 1.  The
+    # empty subset (key 0) is lone too and is dropped.
+    entries = {(key // stride - 1, key % stride): c for key, c in cells.items() if c and key}
 
-    entries: dict[tuple[int, int], int] = {}
     for code, masks in strands.items():
         j = code.bit_count()
-        if len(masks) == 1:
-            # A lone subset S is the strand's only cell: β_{|S|-1, j} gets 1.
-            key = (masks[0].bit_count() - 1, j)
-            entries[key] = entries.get(key, 0) + 1
-            continue
         by_size: dict[int, list[int]] = {}
         for mask in masks:
             by_size.setdefault(mask.bit_count(), []).append(mask)

@@ -4,9 +4,10 @@ import tracemalloc
 from collections import Counter
 from functools import reduce
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import edgeideals.betti as betti_mod
@@ -42,6 +43,7 @@ from edgeideals.simplicial import homology_ranks_of_masks, maximalize, nerve_fac
 from edgeideals.taylor import TAYLOR_GUARD, euler_characteristic_check, taylor_betti_table
 
 from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
+from test_simplicial import fraction_rank
 
 
 class TestCandidateDegrees:
@@ -140,6 +142,12 @@ class TestBettiTable:
     def test_zero_ideal_gives_empty_table(self):
         t = betti_table(make_ideal([], (Variable("x"),)))
         assert t.is_empty()
+
+    def test_one_generator_written_in_two_variable_orders(self):
+        # x1 and x01 have equal natural keys; the two spellings are one
+        # generator, not two that divide each other and leave (0)
+        t = betti_table(parse_ideal("(x1*x01, x01*x1)"))
+        assert t.entries == {(0, 2): 1}
 
     def test_row_zero_counts_generators_by_degree(self):
         I = parse_ideal("(x1*x2^2, x2*x3, x1^2*x3)")
@@ -490,7 +498,8 @@ class TestLcmClasses:
         # as its nerve; outside the star of one vertex only the opposite
         # facet is left.  Its cells are read off the deletion of that
         # vertex, the full simplex on the other s - 1: 2^(s-1) faces, where
-        # the whole nerve has 2^s - 1.
+        # the whole nerve has 2^s - 1.  Each distinct sampled lcm is listed
+        # once.
         I = oriented_cycle_ideal(10)
         assert certified(I)
         sizes, listed = [], []
@@ -507,9 +516,29 @@ class TestLcmClasses:
         monkeypatch.setattr(betti_mod, "homology_ranks_of_masks", counted)
         monkeypatch.setattr(betti_mod, "nerve_face_masks", nerve)
         betti_table(I)
-        assert sizes == [1] * betti_mod.SAMPLE_CHECKS
         masks = thermometer_masks(exponent_vectors(I)[1])
-        assert listed == [2 ** (size - 1) for size, _, _ in betti_mod._sample(masks)]
+        distinct = {lcm: size for size, lcm, _ in betti_mod._sample(masks)}
+        assert sizes == [1] * len(distinct)
+        assert listed == [2 ** (size - 1) for size in distinct.values()]
+
+    def test_each_distinct_sampled_lcm_is_ranked_once(self, monkeypatch):
+        # Four generators have 15 nonempty subsets, so 16 draws repeat an
+        # lcm.  One lcm has one set of facets and one homology: the nerve
+        # is ranked once per distinct lcm, and every draw is still compared.
+        I = oriented_cycle_ideal(4)
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        drawn = [lcm for _, lcm, _ in betti_mod._sample(masks)]
+        assert len(set(drawn)) < len(drawn) == betti_mod.SAMPLE_CHECKS
+        strand_homology, ranked = betti_mod._strand_homology, []
+
+        def counted(facets):
+            ranked.append(facets)
+            return strand_homology(facets)
+
+        monkeypatch.setattr(betti_mod, "_strand_homology", counted)
+        betti_table(I)
+        want = list({lcm: betti_mod._strand_facets(masks, lcm) for lcm in drawn}.values())
+        assert ranked == want
 
     def test_each_sampled_strand_is_built_once(self, monkeypatch):
         # The sample keeps each draw's facets for the nerve check, so the
@@ -529,10 +558,11 @@ class TestLcmClasses:
         assert len(built) == betti_mod.SAMPLE_CHECKS
         assert built == [lcm for _, lcm, _ in sample]
 
-    @pytest.mark.parametrize("source", [6, 12, "3.4"], ids=["6", "12", "3.4-walk"])
+    @pytest.mark.parametrize("source", [4, 6, 12, "3.4"], ids=["4-repeated-draws", "6", "12", "3.4-walk"])
     def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):
         # Minimal or walked, every table sends a fixed-seed sample of subsets
-        # through the nerve path at every size.
+        # through the nerve path at every size; with four generators the
+        # draws repeat lcms, and the doubled ranks are still caught.
         I = edge_ideal(FIXTURES[source].graph) if source == "3.4" else oriented_cycle_ideal(source)
         assert certified(I) == (source != "3.4")
         strand_homology = betti_mod._strand_homology
@@ -637,6 +667,18 @@ class TestLcmClasses:
 
 
 @st.composite
+def mixed_ideals(draw):
+    """Three to eight generators of degree 2..4 on four variables, not
+    Taylor-minimal: some strands hold one subset and some hold more."""
+    ambient = AMBIENT5[:4]
+    vectors = st.tuples(*[st.integers(0, 2)] * 4).filter(lambda v: 2 <= sum(v) <= 4)
+    rows = draw(st.lists(vectors, min_size=3, max_size=8, unique=True))
+    I = make_ideal([Monomial(dict(zip(ambient, row))) for row in rows], ambient)
+    assume(not certified(I))
+    return I
+
+
+@st.composite
 def exponent_ideals(draw):
     """Ideals with exponents up to 5 whose ambient has variables outside the support."""
     n, extra = draw(st.integers(1, 4)), draw(st.integers(0, 2))
@@ -674,6 +716,36 @@ class TestTaylorOracle:
             ):
                 mp.setattr(module, name, _refuse)
             assert taylor_betti_table(I) == want
+
+    @given(mixed_ideals())
+    def test_oracle_matches_a_per_subset_grouping(self, I):
+        # Every subset grouped by its exponent lcm; a group of one subset S
+        # is one cell at (|S| - 1, deg), a larger group is a strand ranked
+        # by Gaussian elimination over Fraction.
+        vectors = [tuple(g.exponent(v) for v in I.ambient) for g in I.generators]
+        groups = {}
+        for mask in range(1, 1 << len(vectors)):
+            lcm = tuple(map(max, zip(*(vec for k, vec in enumerate(vectors) if mask >> k & 1))))
+            groups.setdefault(lcm, []).append(mask)
+        assert any(len(cells) == 1 for cells in groups.values())
+        assert any(len(cells) > 1 for cells in groups.values())
+        want = Counter()
+        for lcm, cells in groups.items():
+            by_size = {}
+            for mask in cells:
+                by_size.setdefault(mask.bit_count(), []).append(mask)
+            rank = {}
+            for k in by_size:
+                lower = by_size.get(k - 1, [])
+                boundary = [
+                    [(-1) ** (upper & (upper ^ face) - 1).bit_count() if upper | face == upper else 0
+                     for upper in by_size[k]]
+                    for face in lower
+                ]
+                rank[k] = fraction_rank(boundary) if lower else 0
+            for k, members in by_size.items():
+                want[k - 1, sum(lcm)] += len(members) - rank[k] - rank.get(k + 1, 0)
+        assert taylor_betti_table(I).entries == {key: c for key, c in want.items() if c}
 
     def test_oracle_on_a_dense_non_minimal_ideal(self):
         # 11 generators on 6 variables: large strands, so dense rank dominates.
@@ -721,6 +793,55 @@ class TestEngineAgainstOracleAtFullCheckSizes:
         assert (summary.reg, summary.pd) == (p.reg_pred, p.pd_pred)
 
 
+def tuple_subset_counts(masks):
+    """Reference for ``subset_counts``: the same frontier DP with one
+    (open bits, |S|, closed degree) tuple key per count instead of packed
+    polynomials."""
+    m = len(masks)
+    set_bits = [[b for b, digit in enumerate(bin(mask)[:1:-1]) if digit == "1"] for mask in masks]
+    owners = [[] for _ in range(max(masks, default=0).bit_length())]
+    for i, own in enumerate(set_bits):
+        for b in own:
+            owners[b].append(i)
+    order = []
+    placed = [False] * m
+    for root in range(m):
+        if placed[root]:
+            continue
+        placed[root] = True
+        queue = [root]
+        for i in queue:
+            for b in set_bits[i]:
+                for j in owners[b]:
+                    if not placed[j]:
+                        placed[j] = True
+                        queue.append(j)
+        order += queue
+    later = [0] * (m + 1)
+    for pos in range(m - 1, -1, -1):
+        later[pos] = later[pos + 1] | masks[order[pos]]
+    states = {(0, 0, 0): 1}
+    for pos, i in enumerate(order):
+        mask = masks[i]
+        close = mask & ~later[pos + 1]
+        step = {}
+        for (state, size, degree), count in states.items():
+            for bits, k in ((state, size), (state | mask, size + 1)):
+                done = bits & close
+                key = (bits ^ done, k, degree + done.bit_count())
+                step[key] = step.get(key, 0) + count
+        states = step
+    return {(size, degree): count for (_, size, degree), count in states.items()}
+
+
+@st.composite
+def graph_ideals(draw):
+    """Edge ideals of seeded graphs of the four classes, about 4 to 24 edges."""
+    tag = draw(st.sampled_from(GRAPH_CLASSES))
+    weights = draw(st.sampled_from([(1, 3), (2, 3), (2, 4)]))
+    return edge_ideal(seeded_graph(tag, draw(st.integers(4, 24)), weights, draw(st.integers(0, 10**6))))
+
+
 class TestSubsetCounts:
     @given(small_ideals(), st.randoms(use_true_random=False))
     def test_subset_polynomial_matches_brute_force(self, I, shuffler):
@@ -736,9 +857,27 @@ class TestSubsetCounts:
         shuffler.shuffle(masks)
         assert subset_counts(masks) == want
 
-    def test_moment_check_is_linear_in_mask_width(self):
-        # 9,003 bits in three owner sets: the moments pair owner sets, not bits
-        e = 3000
+    @given(st.lists(st.integers(1, (1 << 40) - 1), max_size=18))
+    def test_subset_counts_of_any_masks_match_the_tuple_dp(self, masks):
+        # any masks, overlapping or not, 0 to 18 of them: one- to three-byte fields
+        assert subset_counts(masks) == tuple_subset_counts(masks)
+
+    @given(graph_ideals())
+    def test_subset_counts_of_graph_ideals_match_the_tuple_dp(self, I):
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        assert subset_counts(masks) == tuple_subset_counts(masks)
+
+    @pytest.mark.parametrize("m", [7, 8, 15, 16])
+    def test_coprime_generators_at_a_byte_boundary(self, m):
+        # (x1, ..., xm): T[k, k] = C(m, k), the largest a coefficient can be;
+        # m = 7 and 15 fill one and two bytes, m = 8 and 16 need one more
+        masks = [1 << i for i in range(m)]
+        want = {(k, k): comb(m, k) for k in range(m + 1)}
+        assert subset_counts(masks) == tuple_subset_counts(masks) == want
+
+    @pytest.mark.parametrize("e", [3000, 20000])
+    def test_moment_check_is_linear_in_mask_width(self, e):
+        # 3e + 3 bits in three owner sets: the moments pair owner sets, not bits
         I = parse_ideal(f"(x1^{e}*x2, x2^{e}*x3, x3^{e}*x1)")
         started = time.perf_counter()
         table = betti_table(I)

@@ -302,3 +302,34 @@ def test_variable_name_cannot_mimic_polarization():
 def test_monomial_ordering_deterministic(rng: random.Random):
     ms = [M(x1=rng.randint(0, 3), x2=rng.randint(0, 3)) for _ in range(20)]
     assert sorted(ms) == sorted(reversed(sorted(ms)))
+
+
+def test_tied_natural_keys_are_ordered_by_name():
+    # x1 and x01 compare equal digit run by digit run; the name breaks the
+    # tie, so a monomial does not depend on the order of its variables.
+    assert Variable("x01") < Variable("x1") and Variable("x01") != Variable("x1")
+    a, b = parse_monomial("x1*x01"), parse_monomial("x01*x1")
+    assert a == b and hash(a) == hash(b) and str(a) == str(b) == "x01*x1"
+    assert parse_ideal("(x1*x01, x01*x1)").generators == (a,)
+
+
+def test_invalid_variable_names_raise_on_every_call():
+    # the name check is cached per valid name; a bad name raises each time
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid variable name: '1x'"):
+            Variable("1x")
+        with pytest.raises(ValueError, match="invalid variable name: ''"):
+            Variable("")
+        with pytest.raises(ValueError, match="ends in _<digits>"):
+            Variable("x_2")
+        with pytest.raises(ValueError, match="polarization index must be >= 1"):
+            Variable("x", 0)
+
+
+@given(st.lists(st.tuples(*[st.integers(0, 3)] * 4).filter(any), max_size=12))
+def test_make_ideal_matches_pairwise_minimalization(rows):
+    # duplicates dropped, then every generator another one divides, sorted
+    gens = [Monomial({v: e for v, e in zip(AMB, row) if e}) for row in rows]
+    distinct = list(dict.fromkeys(gens))
+    want = sorted(g for g in distinct if not any(h != g and h.divides(g) for h in distinct))
+    assert make_ideal(gens, AMB).generators == tuple(want)
