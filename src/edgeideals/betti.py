@@ -18,14 +18,18 @@ its Taylor strand (the subsets of U with lcm U), ranked as sparse integer
 rows.  Each trade has Euler characteristic 0.
 
 Everything is exact, and every table is checked: row 0 against the
-generator degrees; a fixed-seed sample of strands taken a second way,
-through the nerve of the polarization's strand complex, ranked relative
-to the closed star of one nerve vertex (a cone, so the reduced homology
-is unchanged) with its cells read off the deletion of that vertex, once
-per distinct lcm drawn; the degree moments of the subset counts; and,
-up to ``FULL_CHECK_LIMIT`` generators, the whole table against the
-Taylor oracle, which shares the Taylor strand with this module as
-mathematics but not as code.
+generator degrees; a sample of strands taken a second way, through the
+nerve of the polarization's strand complex, once per distinct lcm drawn;
+the degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
+generators, the whole table against the Taylor oracle, which shares the
+Taylor strand with this module as mathematics but not as code.
+
+The sample's index subsets are drawn once per generator count with a
+fixed seed.  Each nerve is ranked relative to the closed star of one
+vertex (a cone, so the reduced homology is unchanged), and only its
+cells are listed: the faces of the deletion of that vertex whose
+intersection misses the vertex's simplex.  A single class of s members
+lists one cell, not the 2^(s-1) faces of the deletion.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Mapping
 
@@ -53,10 +58,12 @@ MAX_STRAND_GROUND = 24
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
 # oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
 # SAMPLE_MAX_SIZE generators go through the nerve path, each distinct lcm
-# once.  A class of s generators lists up to 2^(s-1) nerve faces, those of
-# the deletion of one vertex: on a 2-vCPU host with Python 3.11.7, a single
-# class of 8 takes 0.09 ms, of 16 about 25 ms and of 20 about 0.49 s,
-# listing included.
+# once.  A single class lists one cell at any size (0.03 ms for 20
+# members).  A shared class of s members can have 2^(s-1) - s cells: for
+# the ideal (x_0, and each product of y_1..y_(s-1) but one y_i) on a
+# 2-vCPU host with Python 3.11.7, s = 8 takes 0.36 ms, 12 about 12 ms and
+# 16 about 0.32 s, listing included.  Only shared classes need the
+# SAMPLE_MAX_SIZE bound.
 FULL_CHECK_LIMIT = 10
 SAMPLE_CHECKS = 16
 SAMPLE_MAX_SIZE = 8
@@ -307,14 +314,15 @@ def _strand_homology(facets: list[int]) -> dict[int, int]:
     The ranks are those of the nerve K of the cover, which is homotopy
     equivalent to the union because all intersections of simplices are
     simplices.  Only the faces of K outside the closed star of nerve
-    vertex 0 are ranked (the star is a cone, so H̃(K) ≅ H(K, st 0)): the
-    faces of the deletion of 0 whose intersection misses facet 0.  If no
-    face is left, K is that cone.  The void union (no facets) has no
-    homology; when facet 0 is empty, its star is empty and every face stays.
+    vertex 0 are listed and ranked (the star is a cone, so
+    H̃(K) ≅ H(K, st 0)): the faces of the deletion of 0 whose intersection
+    misses facet 0.  If no face is left, K is that cone.  The void union
+    (no facets) has no homology; when facet 0 is empty, its star is empty
+    and every face stays.
     """
     if not facets:
         return {}
-    cells = {f for f, inter in nerve_face_masks(facets[1:]).items() if not inter & facets[0]}
+    cells = nerve_face_masks(facets[1:], facets[0])
     if not cells:
         return {}
     return {d: r for d, r in homology_ranks_of_masks(cells) if r}
@@ -418,27 +426,40 @@ def _taylor_strand(members: list[int], lcm: int) -> tuple[Counter, dict[int, int
     return Counter(c.bit_count() - 1 for c in cells), {i: h for i, h in ranks if h}
 
 
+@lru_cache(maxsize=64)
+def _draws(m: int) -> tuple[tuple[int, ...], ...]:
+    """``SAMPLE_CHECKS`` fixed-seed subsets of range(m), each of at most
+    ``SAMPLE_MAX_SIZE`` indices in the order ``random.sample`` gives them."""
+    rng = random.Random(0)
+    return tuple(
+        tuple(rng.sample(range(m), rng.randint(1, min(m, SAMPLE_MAX_SIZE))))
+        for _ in range(SAMPLE_CHECKS)
+    )
+
+
 def _sample(masks: list[int]) -> list[tuple[int, int, list[int]]]:
-    """``SAMPLE_CHECKS`` fixed-seed generator subsets, as (size, lcm mask,
-    facets), with the strand facets at the lcm that the nerve check ranks.
+    """The ``_draws`` of this many generators, as (size, lcm mask, facets),
+    with the strand facets at the lcm that the nerve check ranks.
 
     A draw whose lcm class (the generators dividing its lcm) has more
-    than ``SAMPLE_MAX_SIZE`` members is redrawn as a random subset one
-    smaller.  A single generator is its own class, so none is skipped.
+    than ``SAMPLE_MAX_SIZE`` members drops its last index until its class
+    fits.  The indices come in random order, so each drop is a uniformly
+    random member.  A single generator is its own class, so none is
+    skipped; on a Taylor-minimal ideal each class is its draw, and no
+    draw is shrunk.
     """
-    rng = random.Random(0)
     sample = []
-    for _ in range(SAMPLE_CHECKS):
-        subset = rng.sample(range(len(masks)), rng.randint(1, min(len(masks), SAMPLE_MAX_SIZE)))
+    for draw in _draws(len(masks)):
+        size = len(draw)
         while True:
             lcm = 0
-            for i in subset:
+            for i in draw[:size]:
                 lcm |= masks[i]
             facets = _strand_facets(masks, lcm)
             if len(facets) <= SAMPLE_MAX_SIZE:
                 break
-            subset = rng.sample(subset, len(subset) - 1)
-        sample.append((len(subset), lcm, facets))
+            size -= 1
+        sample.append((size, lcm, facets))
     return sample
 
 

@@ -59,9 +59,10 @@ class HypothesisReport:
     violations: tuple[str, ...]
 
 
-@functools.cache
+@functools.lru_cache(maxsize=4096)
 def _vertex_name(name: str) -> str:
-    """``name``, which Variable() checks once: a ValueError if no variable can have it."""
+    """``name``, which Variable() checks once while it stays cached: a
+    ValueError if no variable can have it."""
     return Variable(name).base
 
 

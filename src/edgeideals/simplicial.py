@@ -6,7 +6,8 @@ by construction.  Homology ranks come from integer boundary matrices in
 sparse rows, reduced by ``exact_rank`` with no floats and no modular
 arithmetic.  The same code ranks a complex and a relative complex:
 ``betti`` ranks each nerve relative to the closed star of one vertex,
-its cells read off the nerve of the deletion of that vertex, and each
+whose cells ``nerve_face_masks`` lists directly (the faces of the
+deletion of that vertex whose intersection misses its simplex), and each
 Taylor strand relative to the subsets of smaller lcm.  The oracle in
 ``taylor`` keeps its own dense boundary code as the reference.
 """
@@ -228,27 +229,41 @@ def reduced_homology_ranks(C: SimplicialComplexOnSupport) -> list[tuple[int, int
     return homology_ranks_of_masks(C.face_masks())
 
 
-def nerve_face_masks(facets: Sequence[int]) -> dict[int, int]:
-    """Faces of the nerve of a cover by simplices with vertex sets ``facets``,
-    each mapped to the intersection of its facets (-1 for the empty face).
+def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> dict[int, int]:
+    """Faces of the nerve of a cover by simplices with vertex sets ``facets``
+    whose intersection misses ``outside``, each mapped to that intersection
+    (-1 for the empty face, kept only when ``outside`` is 0).
 
     A subset S of covering simplices spans a nerve face exactly when the
     intersection of their vertex sets is nonempty; since intersections of
     simplices are simplices (hence contractible when nonempty), the nerve
     has the same homotopy type as the union.  Enumeration prunes upward:
-    supersets of an empty intersection stay empty.  ``betti`` reads the
-    cells of a nerve relative to a vertex star off the deletion of that vertex.
+    supersets of an empty intersection stay empty, and a face adds facet j
+    or any later one only while its intersection with all of facets[j:]
+    (their suffix AND) misses ``outside``, since every such superset's
+    intersection contains that one.  ``betti`` reads the cells of a nerve
+    relative to the closed star of a vertex off the deletion of that
+    vertex, with the vertex's simplex as ``outside``.
     """
     m = len(facets)
-    faces: dict[int, int] = {0: -1}  # nerve mask -> intersection mask (-1 = everything)
-    frontier = faces
+    later = [-1] * (m + 1)  # later[j]: AND of facets[j:]
+    for j in range(m - 1, -1, -1):
+        later[j] = later[j + 1] & facets[j]
+    faces: dict[int, int] = {}  # nerve mask -> intersection mask (-1 = everything)
+    if not outside:
+        faces[0] = -1
+    frontier = [(0, -1)]
     while frontier:
-        new: dict[int, int] = {}
-        for mask, inter in frontier.items():
+        new = []
+        for mask, inter in frontier:
             for j in range(mask.bit_length(), m):
+                if inter & later[j] & outside:
+                    break
                 nxt = inter & facets[j]
                 if nxt:
-                    new[mask | (1 << j)] = nxt
-        faces.update(new)
+                    face = mask | (1 << j)
+                    if not nxt & outside:
+                        faces[face] = nxt
+                    new.append((face, nxt))
         frontier = new
     return faces

@@ -496,10 +496,9 @@ class TestLcmClasses:
     def test_sampled_single_classes_rank_one_cell_each(self, monkeypatch):
         # A single class of s members has the boundary of an (s-1)-simplex
         # as its nerve; outside the star of one vertex only the opposite
-        # facet is left.  Its cells are read off the deletion of that
-        # vertex, the full simplex on the other s - 1: 2^(s-1) faces, where
-        # the whole nerve has 2^s - 1.  Each distinct sampled lcm is listed
-        # once.
+        # facet is left, and it is the one face listed, where the deletion
+        # of that vertex has 2^(s-1) and the whole nerve 2^s - 1.  Each
+        # distinct sampled lcm is listed once.
         I = oriented_cycle_ideal(10)
         assert certified(I)
         sizes, listed = [], []
@@ -508,8 +507,8 @@ class TestLcmClasses:
             sizes.append(len(faces))
             return homology_ranks_of_masks(faces)
 
-        def nerve(facets):
-            faces = nerve_face_masks(facets)
+        def nerve(facets, outside):
+            faces = nerve_face_masks(facets, outside)
             listed.append(len(faces))
             return faces
 
@@ -518,8 +517,9 @@ class TestLcmClasses:
         betti_table(I)
         masks = thermometer_masks(exponent_vectors(I)[1])
         distinct = {lcm: size for size, lcm, _ in betti_mod._sample(masks)}
+        assert max(distinct.values()) > 2
         assert sizes == [1] * len(distinct)
-        assert listed == [2 ** (size - 1) for size in distinct.values()]
+        assert listed == [1] * len(distinct)
 
     def test_each_distinct_sampled_lcm_is_ranked_once(self, monkeypatch):
         # Four generators have 15 nonempty subsets, so 16 draws repeat an
@@ -584,6 +584,34 @@ class TestLcmClasses:
         assert max(sizes) <= betti_mod.SAMPLE_MAX_SIZE < len(masks)
         assert sample == betti_mod._sample(masks)
         assert betti_table(I).entries == {(0, 2): 10, (1, 3): 20, (2, 4): 15, (3, 5): 4}
+
+    def test_draws_are_a_fixed_seed_sequence_per_generator_count(self):
+        for m in range(1, 21):
+            rng = random.Random(0)
+            want = []
+            for _ in range(betti_mod.SAMPLE_CHECKS):
+                want.append(tuple(rng.sample(range(m), rng.randint(1, min(m, betti_mod.SAMPLE_MAX_SIZE)))))
+            assert betti_mod._draws(m) == tuple(want)
+        assert betti_mod._draws.cache_info().maxsize is not None
+
+    def test_a_shrunk_draw_is_its_longest_prefix_that_fits(self):
+        # In K5 a draw covering all five vertices has a class of ten; it
+        # keeps the longest prefix of its draw whose class fits.
+        I = parse_ideal("(" + ", ".join(f"x{a}*x{b}" for a, b in combinations(range(1, 6), 2)) + ")")
+        masks = thermometer_masks(exponent_vectors(I)[1])
+
+        def lcm_of(indices):
+            return reduce(int.__or__, (masks[i] for i in indices), 0)
+
+        shrunk = 0
+        for draw, (size, lcm, facets) in zip(betti_mod._draws(len(masks)), betti_mod._sample(masks)):
+            assert lcm == lcm_of(draw[:size])
+            assert facets == betti_mod._strand_facets(masks, lcm)
+            assert len(facets) <= betti_mod.SAMPLE_MAX_SIZE
+            for longer in range(size + 1, len(draw) + 1):
+                assert len(betti_mod._strand_facets(masks, lcm_of(draw[:longer]))) > betti_mod.SAMPLE_MAX_SIZE
+            shrunk += size < len(draw)
+        assert shrunk
 
     def test_memory_stays_small_on_a_sixteen_cycle(self):
         I = oriented_cycle_ideal(16)

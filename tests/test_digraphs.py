@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import edgeideals.digraphs as digraphs_mod
 from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -63,6 +64,10 @@ class TestBasics:
         # The constructor, not only the JSON reader, applies the variable-name rule.
         with pytest.raises(ValueError, match="variable name"):
             WeightedDigraph([(name, 2), ("b", 2)], [(name, "b")])
+
+    def test_name_cache_is_bounded(self):
+        # Every distinct vertex name a process sees would otherwise stay cached.
+        assert digraphs_mod._vertex_name.cache_info().maxsize == 4096
 
     def test_degree_sum_is_twice_edge_count(self):
         for seed in range(5):

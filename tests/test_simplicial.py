@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from edgeideals.digraphs import edge_ideal
@@ -259,19 +259,30 @@ def test_nerve_has_same_homology_as_union(facets):
     assert direct == nerve
 
 
-@given(st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=6))
-def test_nerve_maps_each_face_to_the_intersection_of_its_facets(facets):
-    # the faces are the subsets of facets with a nonempty intersection;
-    # the empty subset intersects to everything, written -1
+@given(
+    st.lists(st.integers(min_value=0, max_value=(1 << 6) - 1), max_size=6),
+    st.integers(min_value=0, max_value=(1 << 6) - 1),
+)
+@example([], 0)
+@example([], 0b101)
+@example([0, 0b011, 0b110], 0)
+@example([0, 0b011, 0b110], 0b010)
+@example([0b011, 0b110, 0b101, 0b111], 0b011)
+def test_nerve_maps_each_face_to_the_intersection_of_its_facets(facets, outside):
+    # the faces are the subsets of facets with a nonempty intersection
+    # that misses outside; the empty subset intersects to everything,
+    # written -1, so it stays only when outside is 0
     want = {}
     for S in range(1 << len(facets)):
         inter = -1
         for j, f in enumerate(facets):
             if S >> j & 1:
                 inter &= f
-        if inter:
+        if inter and not inter & outside:
             want[S] = inter
-    assert nerve_face_masks(facets) == want
+    assert nerve_face_masks(facets, outside) == want
+    if not outside:
+        assert nerve_face_masks(facets) == want
 
 
 @pytest.mark.parametrize(
