@@ -6,7 +6,6 @@ Run:  python3 demos/01_monomials_and_polarization.py
 
 from edgeideals import (
     intersect,
-    lcm_of,
     make_ideal,
     multiply_external,
     parse_ideal,
@@ -28,7 +27,7 @@ print("minimalized:", J)
 # lcm is the componentwise maximum of exponents.
 u = parse_monomial("x1*x2^3")
 v = parse_monomial("x2*x3^2")
-print(f"lcm({u}, {v}) =", lcm_of(u, v))
+print(f"lcm({u}, {v}) =", u.lcm(v))
 
 # Intersections of monomial ideals come from pairwise lcms.
 A = parse_ideal("(x1*x2^2, x3)")

@@ -9,7 +9,10 @@ dimension and depth read off.
 Run:  python3 demos/02_betti_tables.py
 """
 
+from itertools import combinations
+
 from edgeideals import (
+    Monomial,
     betti_table,
     candidate_degrees,
     euler_characteristic_check,
@@ -17,7 +20,6 @@ from edgeideals import (
     parse_ideal,
     parse_monomial,
     polarize,
-    strand_complex,
     taylor_betti_table,
 )
 
@@ -29,8 +31,14 @@ for b in sorted(candidate_degrees(I)):
     print("  ", b)
 
 b = parse_monomial("x1*x2^3*x3^2")
-C = strand_complex(I, b)
-print(f"\nstrand complex at {b}: {sorted(sorted(str(v) for v in f) for f in C.faces())}")
+support = sorted(b.support())
+strand = [
+    sigma
+    for r in range(len(support) + 1)
+    for sigma in combinations(support, r)
+    if Monomial({v: b.exponent(v) - (v in sigma) for v in support}) in I
+]
+print(f"\nstrand complex at {b}: {sorted(sorted(str(v) for v in f) for f in strand)}")
 
 table = betti_table(I)
 print("\nBetti table (columns i, rows j - i):")

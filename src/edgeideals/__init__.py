@@ -4,7 +4,7 @@ Library layout:
 
 - :mod:`edgeideals.monomials` — monomial/ideal arithmetic and polarization
 - :mod:`edgeideals.digraphs`  — weighted oriented graphs, classes, edge ideals
-- :mod:`edgeideals.simplicial` — complexes and exact homology ranks
+- :mod:`edgeideals.simplicial` — exact homology ranks of face bitmasks
 - :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
 - :mod:`edgeideals.formulas`  — closed-form predictions and Betti splittings
@@ -18,7 +18,6 @@ from .betti import (
     betti_table,
     candidate_degrees,
     invariants,
-    strand_complex,
 )
 from .digraphs import (
     GraphClass,
@@ -41,7 +40,6 @@ from .formulas import (
     SplittingVerdict,
     build_split,
     check_betti_splitting,
-    has_linear_resolution,
     predict,
     split_and_check,
     verify_formula,
@@ -53,7 +51,6 @@ from .monomials import (
     Variable,
     ideal_sum,
     intersect,
-    lcm_of,
     make_ideal,
     multiply_external,
     parse_ideal,
@@ -61,7 +58,6 @@ from .monomials import (
     polarize,
     polarize_monomial,
 )
-from .simplicial import SimplicialComplexOnSupport, reduced_homology_ranks
 from .taylor import euler_characteristic_check, taylor_betti_table
 
 __version__ = "0.1.0"
@@ -78,7 +74,6 @@ __all__ = [
     "InvariantSummary",
     "Monomial",
     "MonomialIdeal",
-    "SimplicialComplexOnSupport",
     "SplitPair",
     "SplittingVerdict",
     "Variable",
@@ -94,11 +89,9 @@ __all__ = [
     "delete_vertex",
     "edge_ideal",
     "euler_characteristic_check",
-    "has_linear_resolution",
     "ideal_sum",
     "intersect",
     "invariants",
-    "lcm_of",
     "make_ideal",
     "multiply_external",
     "normalize_source_weights",
@@ -108,9 +101,7 @@ __all__ = [
     "polarize_monomial",
     "predict",
     "random_instance",
-    "reduced_homology_ranks",
     "split_and_check",
-    "strand_complex",
     "taylor_betti_table",
     "verify_formula",
 ]

@@ -51,10 +51,10 @@ from .monomials import (
     subset_counts,
     thermometer_masks,
 )
-from .simplicial import SimplicialComplexOnSupport, homology_ranks_of_masks, nerve_face_masks
+from .simplicial import homology_ranks_of_masks, nerve_face_masks
 
 DEFAULT_GENERATOR_GUARD = 20
-MAX_STRAND_GROUND = 24
+MAX_STRAND_GROUND = 24  # not a cost bound; see _check_ground_guard
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
 # oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
 # SAMPLE_MAX_SIZE generators go through the nerve path, each distinct lcm
@@ -101,8 +101,12 @@ def _check_generator_guard(I: MonomialIdeal) -> None:
 def _check_ground_guard(variables: int) -> None:
     """Refuse a strand ground set of more than ``MAX_STRAND_GROUND`` variables.
 
-    ``strand_complex`` lists up to 2^variables faces.  ``betti_table``
-    applies the same bound to supp(I), though it lists no faces there.
+    ``betti_table`` applies it to supp(I), though no path lists faces of
+    the ground set: the nerve path works on at most one simplex per
+    generator.  The bound stays only because lifting it turns the
+    ``cli_mix`` benchmark's known-defect splitting (a polarized input of
+    26 variables) into a real computation, which re-baselines that
+    workload.
     """
     if variables > MAX_STRAND_GROUND:
         raise GuardError(
@@ -283,29 +287,6 @@ def _strand_facets(masks: list[int], lcm: int) -> list[int]:
     an antichain.
     """
     return [lcm & ~g for g in masks if g | lcm == lcm]
-
-
-def strand_complex(I: MonomialIdeal, b: Monomial) -> SimplicialComplexOnSupport:
-    """The strand complex at candidate degree b.
-
-    Faces are the squarefree σ ⊆ supp(b) with x^{b-σ} ∈ I (membership
-    meaning divisibility by some minimal generator); this set is downward
-    closed by construction.  b must be a candidate degree, i.e. the lcm
-    of the generators dividing it.
-    """
-    if I.is_zero():
-        raise ValueError("the zero ideal has no strands")
-    _check_generator_guard(I)
-    sup, gen_vecs = exponent_vectors(I)
-    bvec = tuple(b.exponent(v) for v in sup)
-    dividing = [g for g in gen_vecs if all(ge <= be for ge, be in zip(g, bvec))]
-    if b.support() - set(sup) or not dividing or tuple(map(max, zip(*dividing))) != bvec:
-        raise ValueError(f"{b} is not a candidate degree of {I}")
-    _check_ground_guard(len(b.support()))
-    ground = [i for i, e in enumerate(bvec) if e]
-    # A generator's facet: the variables where it falls short of b.
-    facets = [sum(1 << k for k, i in enumerate(ground) if g[i] < bvec[i]) for g in dividing]
-    return SimplicialComplexOnSupport([sup[i] for i in ground], facets)
 
 
 def _strand_homology(facets: list[int]) -> dict[int, int]:

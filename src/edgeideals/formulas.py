@@ -266,16 +266,6 @@ def check_betti_splitting(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) 
     )
 
 
-def has_linear_resolution(J: MonomialIdeal) -> bool:
-    """True when all generators share one degree d and reg(J) = d."""
-    if J.is_zero():
-        raise ValueError("the zero ideal has no resolution")
-    degrees = {g.degree() for g in J.generators}
-    if len(degrees) != 1:
-        return False
-    return betti_table(J).reg() == next(iter(degrees))
-
-
 def split_and_check(D: WeightedDigraph, e: tuple[str, str] | None = None):
     """build_split + identity check + the closed-form J∩K comparison.
 

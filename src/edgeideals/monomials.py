@@ -247,11 +247,6 @@ def make_ideal(raw_generators: Iterable[Monomial], ambient: Iterable[Variable]) 
     return MonomialIdeal(amb, tuple(minimal))
 
 
-def lcm_of(a: Monomial, b: Monomial) -> Monomial:
-    """Componentwise maximum of exponents."""
-    return a.lcm(b)
-
-
 def exponent_vectors(I: MonomialIdeal) -> tuple[tuple[Variable, ...], list[tuple[int, ...]]]:
     """supp(I) in ambient order, and each generator's exponents over it."""
     sup = I.support()

@@ -1,125 +1,20 @@
-"""Simplicial complexes on variable supports and exact homology ranks.
+"""Exact homology ranks of families of faces given as bitmasks.
 
-Complexes are stored by their inclusion-maximal faces (facets) as
-bitmasks over an ordered ground set, which keeps downward closure true
-by construction.  Homology ranks come from integer boundary matrices in
-sparse rows, reduced by ``exact_rank`` with no floats and no modular
-arithmetic.  The same code ranks a complex and a relative complex:
-``betti`` ranks each nerve relative to the closed star of one vertex,
-whose cells ``nerve_face_masks`` lists directly (the faces of the
-deletion of that vertex whose intersection misses its simplex), and each
-Taylor strand relative to the subsets of smaller lcm.  The oracle in
-``taylor`` keeps its own dense boundary code as the reference.
+A face is a bitmask over an ordered ground set; nothing here knows
+variables or monomials.  Homology ranks come from integer boundary
+matrices in sparse rows, reduced by ``exact_rank`` with no floats and no
+modular arithmetic.  The same code ranks a complex and a relative
+complex: ``betti`` ranks each nerve relative to the closed star of one
+vertex, whose cells ``nerve_face_masks`` lists directly (the faces of
+the deletion of that vertex whose intersection misses its simplex), and
+each Taylor strand relative to the subsets of smaller lcm.  The oracle
+in ``taylor`` keeps its own dense boundary code as the reference.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
-
-from .monomials import Variable
-
-
-def _submasks(mask: int):
-    """All submasks of ``mask``, including 0 and ``mask`` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
-def maximalize(masks: Iterable[int]) -> tuple[int, ...]:
-    """Drop masks contained in another mask; dedup; sorted output."""
-    uniq = sorted(set(masks), key=int.bit_count, reverse=True)
-    out: list[int] = []
-    for m in uniq:
-        if not any(m & f == m for f in out):
-            out.append(m)
-    return tuple(sorted(out))
-
-
-class SimplicialComplexOnSupport:
-    """An abstract simplicial complex on an ordered subset of variables.
-
-    ``facets == ()`` is the void complex (no faces at all); ``facets ==
-    (0,)`` is the irrelevant complex whose only face is the empty set.
-    Faces are exposed as frozensets of variables; internally they are
-    bitmasks over ``ground``.
-    """
-
-    __slots__ = ("ground", "facets")
-
-    def __init__(self, ground: Sequence[Variable], facets: Iterable[int]):
-        self.ground = tuple(ground)
-        if len(set(self.ground)) != len(self.ground):
-            raise ValueError("ground set contains repeats")
-        facets = maximalize(facets)
-        top = (1 << len(self.ground)) - 1
-        for f in facets:
-            if f & ~top:
-                raise ValueError("facet mask outside the ground set")
-        self.facets = facets
-
-    @classmethod
-    def from_maximal_faces(
-        cls, ground: Sequence[Variable], maximal: Iterable[Iterable[Variable]]
-    ) -> "SimplicialComplexOnSupport":
-        ground = tuple(ground)
-        pos = {v: i for i, v in enumerate(ground)}
-        masks = []
-        for face in maximal:
-            m = 0
-            for v in face:
-                m |= 1 << pos[v]
-            masks.append(m)
-        return cls(ground, masks)
-
-    def is_void(self) -> bool:
-        return not self.facets
-
-    def dim(self) -> int:
-        """Dimension; -1 for the irrelevant complex.  Void complexes raise."""
-        if self.is_void():
-            raise ValueError("the void complex has no dimension")
-        return max(f.bit_count() for f in self.facets) - 1
-
-    def face_masks(self) -> set[int]:
-        out: set[int] = set()
-        for f in self.facets:
-            for s in _submasks(f):
-                out.add(s)
-        return out
-
-    def faces(self) -> set[frozenset[Variable]]:
-        return {self._unmask(m) for m in self.face_masks()}
-
-    def _unmask(self, mask: int) -> frozenset[Variable]:
-        return frozenset(v for i, v in enumerate(self.ground) if mask >> i & 1)
-
-    def has_face(self, face: Iterable[Variable]) -> bool:
-        pos = {v: i for i, v in enumerate(self.ground)}
-        m = 0
-        for v in face:
-            if v not in pos:
-                return False
-            m |= 1 << pos[v]
-        return any(m & f == m for f in self.facets)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SimplicialComplexOnSupport)
-            and self.ground == other.ground
-            and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.facets))
-
-    def __repr__(self) -> str:
-        names = ",".join(str(v) for v in self.ground)
-        return f"SimplicialComplexOnSupport([{names}], {len(self.facets)} facets)"
+from typing import Sequence
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -216,17 +111,6 @@ def homology_ranks_of_masks(face_masks: set[int]) -> list[tuple[int, int]]:
         h = n_d - ranks_boundary.get(d, 0) - ranks_boundary.get(d + 1, 0)
         out.append((d, h))
     return out
-
-
-def reduced_homology_ranks(C: SimplicialComplexOnSupport) -> list[tuple[int, int]]:
-    """Reduced homology ranks over the rationals, from exact boundary ranks.
-
-    Returns [(d, rank)] for d = -1 .. dim(C).  The void complex is
-    rejected; the irrelevant complex {∅} has rank 1 in dimension -1.
-    """
-    if C.is_void():
-        raise ValueError("cannot compute homology of the void complex")
-    return homology_ranks_of_masks(C.face_masks())
 
 
 def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> dict[int, int]:

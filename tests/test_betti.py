@@ -20,7 +20,6 @@ from edgeideals.betti import (
     betti_table,
     candidate_degrees,
     invariants,
-    strand_complex,
 )
 from edgeideals.fixtures import FIXTURES
 from edgeideals.digraphs import edge_ideal, random_instance
@@ -39,11 +38,11 @@ from edgeideals.monomials import (
     subset_counts,
     thermometer_masks,
 )
-from edgeideals.simplicial import homology_ranks_of_masks, maximalize, nerve_face_masks, reduced_homology_ranks
+from edgeideals.simplicial import homology_ranks_of_masks, nerve_face_masks
 from edgeideals.taylor import TAYLOR_GUARD, euler_characteristic_check, taylor_betti_table
 
 from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
-from test_simplicial import fraction_rank
+from test_simplicial import antichain, fraction_rank, ranks_dict
 
 
 class TestCandidateDegrees:
@@ -79,39 +78,47 @@ class TestCandidateDegrees:
             candidate_degrees(make_ideal([], (Variable("x"),)))
 
 
-class TestStrandComplex:
+def literal_strand_faces(I, b):
+    """The strand complex of I at b, from its definition: the squarefree
+    σ ⊆ supp(b), as bitmasks over supp(b) in ambient order, for which some
+    generator's exponent tuple is ≤ b - σ."""
+    ground = [v for v in I.ambient if b.exponent(v)]
+    bvec = [b.exponent(v) for v in ground]
+    # a generator below b - σ divides b, so it has no variable off supp(b)
+    gens = [[g.exponent(v) for v in ground] for g in I.generators if g.divides(b)]
+    faces = set()
+    for sigma in range(1 << len(ground)):
+        rest = [e - (sigma >> k & 1) for k, e in enumerate(bvec)]
+        if any(all(ge <= re for ge, re in zip(g, rest)) for g in gens):
+            faces.add(sigma)
+    return faces
+
+
+class TestLiteralStrandFaces:
     def test_principal_strand_is_only_the_empty_face(self):
         # x^{b-σ} must land in the ideal; for a principal ideal at its own
         # degree no proper quotient does, so only ∅ qualifies.
-        C = strand_complex(parse_ideal("(x1*x2)"), parse_monomial("x1*x2"))
-        assert C.faces() == {frozenset()}
+        assert literal_strand_faces(parse_ideal("(x1*x2)"), parse_monomial("x1*x2")) == {0}
 
     def test_two_variables_strand_is_two_points(self):
-        C = strand_complex(parse_ideal("(x1, x2)"), parse_monomial("x1*x2"))
-        faces = C.faces()
-        assert faces == {
-            frozenset(),
-            frozenset({Variable("x1")}),
-            frozenset({Variable("x2")}),
-        }
+        faces = literal_strand_faces(parse_ideal("(x1, x2)"), parse_monomial("x1*x2"))
+        assert faces == {0, 0b01, 0b10}
+        assert ranks_dict(faces) == {0: 1}
 
     def test_minimal_generator_strand(self):
         I = parse_ideal("(x1*x2^3, x2*x3^2)")
-        C = strand_complex(I, parse_monomial("x1*x2^3"))
-        assert C.faces() == {frozenset()}
+        assert literal_strand_faces(I, parse_monomial("x1*x2^3")) == {0}
 
     def test_downward_closure(self):
+        # the edge x1x2 (b - σ still divisible by x2*x3^2) and the point x3
+        # (by x1*x2^3): two components
         I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4)")
-        b = parse_monomial("x1*x2^3*x3^2")
-        C = strand_complex(I, b)
-        faces = C.faces()
+        faces = literal_strand_faces(I, parse_monomial("x1*x2^3*x3^2"))
+        assert faces == {0, 0b001, 0b010, 0b011, 0b100}
         for face in faces:
-            for v in face:
-                assert face - {v} in faces
-
-    def test_non_candidate_rejected(self):
-        with pytest.raises(ValueError, match="candidate"):
-            strand_complex(parse_ideal("(x1*x2)"), parse_monomial("x1"))
+            for bit in (1, 2, 4):
+                assert face & ~bit in faces
+        assert ranks_dict(faces) == {0: 1}
 
 
 class TestBettiTable:
@@ -378,7 +385,7 @@ def facet_families(draw):
     if bits and draw(st.booleans()):
         apex = 1 << draw(st.integers(0, bits - 1))
         facets = [f | apex for f in facets]
-    return list(maximalize(facets))
+    return antichain(facets)
 
 
 def oriented_cycle_ideal(m, seed=1):
@@ -456,9 +463,10 @@ class TestLcmClasses:
         assert betti_table(I) == taylor_betti_table(I)
 
     def test_every_class_matches_literal_strands(self, rng):
-        # the nerve path of the engine against literal face enumeration, on
-        # I and, where its strand has at most 2^10 faces, on its polarization,
-        # whose strands the facets are read from
+        # the nerve path of the engine against the strand's definition
+        # (literal_strand_faces), on I and, where its strand has at most
+        # 2^10 faces, on its polarization, whose strands the facets are
+        # read from
         ideals = [edge_ideal(f.graph) for f in FIXTURES.values()]
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
         singles = shared = polarized = 0
@@ -466,10 +474,10 @@ class TestLcmClasses:
             masks = thermometer_masks(exponent_vectors(I)[1])
             for U, lcm in betti_mod._lcm_classes(masks):
                 b = reduce(Monomial.lcm, (g for k, g in enumerate(I.generators) if U >> k & 1))
-                ranks = {d: r for d, r in reduced_homology_ranks(strand_complex(I, b)) if r}
+                ranks = ranks_dict(literal_strand_faces(I, b))
                 if lcm.bit_count() <= 10:
-                    strand = strand_complex(polarize(I), polarize_monomial(b))
-                    assert {d: r for d, r in reduced_homology_ranks(strand) if r} == ranks
+                    strand = literal_strand_faces(polarize(I), polarize_monomial(b))
+                    assert ranks_dict(strand) == ranks
                     polarized += 1
                 assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm)) == ranks
                 # the Taylor strand, in the table's index i = d + 1

@@ -19,7 +19,6 @@ from edgeideals.formulas import (
     VERDICT_PASS,
     build_split,
     check_betti_splitting,
-    has_linear_resolution,
     predict,
     split_and_check,
     verify_formula,
@@ -321,27 +320,6 @@ class TestCheckBettiSplitting:
         with pytest.raises(ValueError, match=f"^{zero_part} is the zero ideal"):
             check_betti_splitting(I, J, K)
         assert tables == []
-
-
-class TestLinearResolution:
-    def test_principal_ideal(self):
-        assert has_linear_resolution(parse_ideal("(x1^3*x2)"))
-
-    def test_equigenerated_path_ideal(self):
-        assert has_linear_resolution(parse_ideal("(x1*x2, x2*x3)"))
-
-    def test_mixed_degrees(self):
-        assert not has_linear_resolution(parse_ideal("(x1*x2, x3*x4^2)"))
-
-    def test_equigenerated_but_not_linear(self):
-        # three squarefree quadrics forming a triangle: reg = 2 holds, but
-        # a 4-cycle complement example fails; use the standard non-linear one
-        assert not has_linear_resolution(parse_ideal("(x1*x2, x3*x4)"))
-
-    def test_zero_rejected(self):
-        from edgeideals.monomials import Variable, make_ideal
-        with pytest.raises(ValueError):
-            has_linear_resolution(make_ideal([], (Variable("x"),)))
 
 
 class TestFormulaCampaignSpot:

@@ -11,7 +11,6 @@ from edgeideals.monomials import (
     exponent_vectors,
     ideal_sum,
     intersect,
-    lcm_of,
     make_ideal,
     multiply_external,
     parse_ideal,
@@ -63,15 +62,15 @@ class TestMakeIdeal:
 
 class TestLcm:
     def test_componentwise_max(self):
-        assert lcm_of(M(x1=1, x2=3), M(x2=1, x3=2)) == M(x1=1, x2=3, x3=2)
+        assert M(x1=1, x2=3).lcm(M(x2=1, x3=2)) == M(x1=1, x2=3, x3=2)
 
     def test_unit_is_identity(self):
         u = M(x1=2, x3=1)
-        assert lcm_of(u, Monomial()) == u
+        assert u.lcm(Monomial()) == u == Monomial().lcm(u)
 
     def test_idempotent(self):
         u = M(x1=2, x3=1)
-        assert lcm_of(u, u) == u
+        assert u.lcm(u) == u
 
 
 class TestIntersect:

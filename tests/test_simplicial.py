@@ -7,94 +7,69 @@ from hypothesis import strategies as st
 
 from edgeideals.digraphs import edge_ideal
 from edgeideals.fixtures import FIXTURES
-from edgeideals.monomials import Variable, exponent_vectors, parse_ideal
+from edgeideals.monomials import exponent_vectors, parse_ideal
 from edgeideals.simplicial import (
-    SimplicialComplexOnSupport,
     boundary_matrix,
     exact_rank,
     homology_ranks_of_masks,
-    maximalize,
     nerve_face_masks,
-    reduced_homology_ranks,
 )
 from edgeideals.taylor import rank_over_q, taylor_betti_table
 
-a, b, c, d = (Variable(ch) for ch in "abcd")
+
+def down_closure(facets):
+    """Every face of the complex with the given facets, the empty face included."""
+    faces = set()
+    for f in facets:
+        sub = f
+        while True:
+            faces.add(sub)
+            if sub == 0:
+                break
+            sub = (sub - 1) & f
+    return faces
 
 
-def ranks_dict(C):
-    return {dim: r for dim, r in reduced_homology_ranks(C) if r}
+def antichain(masks):
+    """The inclusion-maximal masks among ``masks``, without repeats, sorted."""
+    uniq = set(masks)
+    return sorted(m for m in uniq if not any(m != f and m & f == m for f in uniq))
 
 
-class TestComplex:
+def ranks_dict(faces):
+    return {dim: r for dim, r in homology_ranks_of_masks(faces) if r}
+
+
+class TestDownClosure:
+    # the face sets the homology cases below are ranked on
     def test_faces_are_downward_closed(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b, c), [[a, b], [b, c]])
-        faces = C.faces()
-        for face in faces:
-            for v in face:
-                assert face - {v} in faces
+        faces = down_closure([0b011, 0b110])
+        assert faces == {0, 0b001, 0b010, 0b100, 0b011, 0b110}
+        assert all(f & ~(1 << k) in faces for f in faces for k in range(3))
 
     def test_empty_face_always_present(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a,), [[a]])
-        assert frozenset() in C.faces()
-
-    def test_facets_are_maximalized(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b), [[a], [a, b]])
-        assert C.facets == (0b11,)
-
-    def test_has_face(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b, c), [[a, b]])
-        assert C.has_face([a])
-        assert C.has_face([a, b])
-        assert not C.has_face([c])
-        assert not C.has_face([a, b, c])
-
-    def test_void_versus_irrelevant(self):
-        void = SimplicialComplexOnSupport((a,), [])
-        point_free = SimplicialComplexOnSupport((a,), [0])
-        assert void.is_void()
-        assert not point_free.is_void()
-        assert point_free.faces() == {frozenset()}
-
-    def test_dim(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b, c), [[a, b, c]])
-        assert C.dim() == 2
+        assert down_closure([0b1]) == {0, 0b1}
 
 
 class TestHomology:
+    # faces are bitmasks over the vertices a, b, c, d = bits 0..3
     def test_two_isolated_points(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b), [[a], [b]])
-        assert ranks_dict(C) == {0: 1}
+        assert ranks_dict(down_closure([0b01, 0b10])) == {0: 1}
 
     def test_triangle_boundary_is_a_circle(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces(
-            (a, b, c), [[a, b], [b, c], [a, c]]
-        )
-        assert ranks_dict(C) == {1: 1}
+        assert ranks_dict(down_closure([0b011, 0b110, 0b101])) == {1: 1}
 
     def test_full_simplex_is_contractible(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces((a, b, c, d), [[a, b, c, d]])
-        assert ranks_dict(C) == {}
+        assert ranks_dict(full_simplex_faces(4)) == {}
 
     def test_irrelevant_complex(self):
-        C = SimplicialComplexOnSupport((a,), [0])
-        assert ranks_dict(C) == {-1: 1}
-
-    def test_void_complex_rejected(self):
-        with pytest.raises(ValueError, match="void"):
-            reduced_homology_ranks(SimplicialComplexOnSupport((a,), []))
+        assert ranks_dict({0}) == {-1: 1}
 
     def test_two_triangles_sharing_an_edge(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces(
-            (a, b, c, d), [[a, b, c], [b, c, d]]
-        )
-        assert ranks_dict(C) == {}
+        assert ranks_dict(down_closure([0b0111, 0b1110])) == {}
 
     def test_sphere_boundary_of_tetrahedron(self):
-        C = SimplicialComplexOnSupport.from_maximal_faces(
-            (a, b, c, d), [[a, b, c], [a, b, d], [a, c, d], [b, c, d]]
-        )
-        assert ranks_dict(C) == {2: 1}
+        assert ranks_dict(down_closure([0b0111, 0b1011, 0b1101, 0b1110])) == {2: 1}
 
 
 matrices = st.integers(min_value=1, max_value=8).flatmap(
@@ -234,29 +209,13 @@ def test_boundary_matrix_drops_subfaces_outside_the_family():
     assert rows == [{0: -1}, {0: -1, 1: 1}, {1: 1}]
 
 
-def test_maximalize():
-    assert maximalize([0b01, 0b11, 0b11, 0b100]) == (0b11, 0b100)
-    assert maximalize([0]) == (0,)
-    assert maximalize([]) == ()
-
-
 facet_lists = st.lists(st.integers(min_value=1, max_value=(1 << 6) - 1), min_size=1, max_size=5)
 
 
 @given(facet_lists)
 def test_nerve_has_same_homology_as_union(facets):
-    facets = list(maximalize(facets))
-    union_faces = set()
-    for f in facets:
-        sub = f
-        while True:
-            union_faces.add(sub)
-            if sub == 0:
-                break
-            sub = (sub - 1) & f
-    direct = {d: r for d, r in homology_ranks_of_masks(union_faces) if r}
-    nerve = {d: r for d, r in homology_ranks_of_masks(nerve_face_masks(facets)) if r}
-    assert direct == nerve
+    facets = antichain(facets)
+    assert ranks_dict(down_closure(facets)) == ranks_dict(nerve_face_masks(facets))
 
 
 @given(
