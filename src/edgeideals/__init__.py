@@ -3,7 +3,7 @@
 Library layout:
 
 - :mod:`edgeideals.monomials` — monomial/ideal arithmetic and polarization
-- :mod:`edgeideals.digraphs`  — weighted oriented graphs, classes, edge ideals
+- :mod:`edgeideals.digraphs`  — weighted oriented graphs, their classes and weight hypothesis, edge ideals
 - :mod:`edgeideals.simplicial` — exact homology ranks of face bitmasks
 - :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
@@ -22,7 +22,6 @@ from .betti import (
 from .digraphs import (
     GraphClass,
     GraphClassTag,
-    HypothesisReport,
     WeightedDigraph,
     check_hypotheses,
     classify,
@@ -68,7 +67,6 @@ __all__ = [
     "GraphClass",
     "GraphClassTag",
     "GuardError",
-    "HypothesisReport",
     "IdealSyntaxError",
     "InvariantReport",
     "InvariantSummary",

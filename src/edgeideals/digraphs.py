@@ -5,7 +5,7 @@ weight per vertex and no bidirected edges.  The edge ideal has one
 generator tail·head^{w(head)} per directed edge.  This module also
 classifies graphs into the formula-bearing classes (rooted forests,
 oriented cycles, unicyclic graphs with away-oriented attached trees),
-checks the weight hypotheses those formulas need, and generates seeded
+checks the weight hypothesis those formulas need, and generates seeded
 random instances for verification campaigns.
 """
 
@@ -34,8 +34,9 @@ class GraphClassTag(Enum):
 class GraphClass:
     """Classification tag plus a class-specific witness.
 
-    witness: roots (forest), the directed cycle's vertex sequence (cycle
-    and attached classes), or the per-component tag list (general/other).
+    witness: the roots, one per component (forest); the directed cycle's
+    vertex sequence from its first-declared vertex (cycle and attached
+    classes); () for the general and other classes.
     """
 
     tag: GraphClassTag
@@ -43,20 +44,6 @@ class GraphClass:
 
     def __str__(self) -> str:
         return self.tag.value
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Vertices violating the weight hypothesis of the classified class.
-
-    Rule: weight >= 2 at every vertex of degree != 1 (forests and
-    unicyclic classes) or at every vertex (cycles).  Sources carry the
-    conventional weight 1 and are exempt, since their weight never enters
-    the edge ideal.
-    """
-
-    satisfied: bool
-    violations: tuple[str, ...]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -115,10 +102,6 @@ class WeightedDigraph:
         if v not in self._index:
             raise ValueError(f"unknown vertex {v!r}")
         return self._index[v]
-
-    def in_neighbors(self, v: str) -> tuple[str, ...]:
-        self._require(v)
-        return tuple(self._in[v])
 
     def degree(self, v: str) -> int:
         """Degree in the underlying undirected graph."""
@@ -244,35 +227,28 @@ def delete_vertex(D: WeightedDigraph, v: str) -> WeightedDigraph:
     )
 
 
-def _component_status(comp: WeightedDigraph) -> tuple[str, tuple]:
-    """('rooted_tree', (root,)) | ('oriented_cycle'|'unicyclic_attached', cycle) | ('other', ())."""
-    n_v, n_e = len(comp.vertices), len(comp.edges)
+def _component_class(comp: WeightedDigraph) -> GraphClass:
+    """ROOTED_FOREST with the root, ORIENTED_CYCLE or UNICYCLIC_ATTACHED
+    with the directed cycle, or OTHER with ()."""
     names = comp.vertex_names()
-    if n_e == n_v - 1:
-        if all(len(comp.in_neighbors(n)) <= 1 for n in names):
-            roots = [n for n in names if not comp.in_neighbors(n)]
-            return ("rooted_tree", (roots[0],))
-        return ("other", ())
-    if n_e == n_v:
-        if all(len(comp.in_neighbors(n)) == 1 for n in names):
-            # Every vertex has a unique predecessor; walking back finds the cycle.
-            walk = [names[0]]
-            seen = {names[0]: 0}
-            while True:
-                prev = comp.in_neighbors(walk[-1])[0]
-                if prev in seen:
-                    cycle = tuple(reversed(walk[seen[prev]:]))
-                    break
-                seen[prev] = len(walk)
-                walk.append(prev)
-            # Rotate so the cycle starts at its first-declared vertex.
-            start = min(range(len(cycle)), key=lambda i: comp._index[cycle[i]])
-            cycle = cycle[start:] + cycle[:start]
-            if len(cycle) == n_v:
-                return ("oriented_cycle", cycle)
-            return ("unicyclic_attached", cycle)
-        return ("other", ())
-    return ("other", ())
+    indegrees = [len(comp._in[n]) for n in names]
+    if len(comp.edges) == len(names) - 1 and max(indegrees) <= 1:
+        return GraphClass(GraphClassTag.ROOTED_FOREST, (names[indegrees.index(0)],))
+    if len(comp.edges) != len(names) or any(d != 1 for d in indegrees):
+        return GraphClass(GraphClassTag.OTHER, ())
+    # Every vertex has a unique predecessor; walking back finds the cycle.
+    walk = [names[0]]
+    seen = {names[0]: 0}
+    while (prev := comp._in[walk[-1]][0]) not in seen:
+        seen[prev] = len(walk)
+        walk.append(prev)
+    cycle = walk[seen[prev]:][::-1]
+    # Rotate so the cycle starts at its first-declared vertex.
+    start = min(range(len(cycle)), key=lambda i: comp._index[cycle[i]])
+    cycle = tuple(cycle[start:] + cycle[:start])
+    if len(cycle) == len(names):
+        return GraphClass(GraphClassTag.ORIENTED_CYCLE, cycle)
+    return GraphClass(GraphClassTag.UNICYCLIC_ATTACHED, cycle)
 
 
 def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> GraphClass:
@@ -288,41 +264,28 @@ def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> 
     """
     if comps is None:
         comps = components(D)
-    if not comps:
+    classes = [_component_class(c) for c in comps]
+    tags = {c.tag for c in classes}
+    if tags == {GraphClassTag.ROOTED_FOREST}:
+        return GraphClass(GraphClassTag.ROOTED_FOREST, tuple(c.witness[0] for c in classes))
+    if len(classes) == 1:
+        return classes[0]
+    if not classes or GraphClassTag.OTHER in tags:
         return GraphClass(GraphClassTag.OTHER, ())
-    statuses = [_component_status(c) for c in comps]
-    kinds = [s[0] for s in statuses]
-    if all(k == "rooted_tree" for k in kinds):
-        return GraphClass(GraphClassTag.ROOTED_FOREST, tuple(s[1][0] for s in statuses))
-    if len(comps) == 1:
-        kind, witness = statuses[0]
-        if kind == "oriented_cycle":
-            return GraphClass(GraphClassTag.ORIENTED_CYCLE, witness)
-        if kind == "unicyclic_attached":
-            return GraphClass(GraphClassTag.UNICYCLIC_ATTACHED, witness)
-        return GraphClass(GraphClassTag.OTHER, tuple(kinds))
-    if all(k in ("rooted_tree", "oriented_cycle", "unicyclic_attached") for k in kinds):
-        return GraphClass(GraphClassTag.UNICYCLIC_GENERAL, tuple(kinds))
-    return GraphClass(GraphClassTag.OTHER, tuple(kinds))
+    return GraphClass(GraphClassTag.UNICYCLIC_GENERAL, ())
 
 
-def check_hypotheses(D: WeightedDigraph, cls: GraphClass) -> HypothesisReport:
-    """List the vertices violating the class's weight hypothesis.
+def check_hypotheses(D: WeightedDigraph) -> tuple[str, ...]:
+    """The vertices violating the weight hypothesis, in declaration order.
 
-    Forests and unicyclic classes require weight >= 2 wherever the
-    (underlying) degree differs from 1; oriented cycles require weight
-    >= 2 everywhere.  Sources are exempt: their weight is conventionally
-    1 and never appears in the edge ideal.
+    The formulas need weight >= 2 at every non-source vertex whose
+    (underlying) degree differs from 1; on an oriented cycle that is
+    every vertex.  Sources are exempt: their weight is conventionally 1
+    and never appears in the edge ideal.
     """
-    if cls.tag is GraphClassTag.ORIENTED_CYCLE:
-        bad = [n for n, w in D.vertices if w < 2]
-    else:
-        bad = [
-            n
-            for n, w in D.vertices
-            if w < 2 and D.degree(n) != 1 and not D.is_source(n)
-        ]
-    return HypothesisReport(satisfied=not bad, violations=tuple(bad))
+    return tuple(
+        n for n, w in D.vertices if w < 2 and D.degree(n) != 1 and not D.is_source(n)
+    )
 
 
 # -- seeded random instances ----------------------------------------------
@@ -421,7 +384,7 @@ def random_instance(
     if got.tag is not tag:
         raise AssertionError(f"generator produced {got.tag.value}, wanted {tag.value}")
     if lo >= 2:
-        report = check_hypotheses(D, got)
-        if not report.satisfied:
-            raise AssertionError(f"generated instance violates hypotheses at {report.violations}")
+        violations = check_hypotheses(D)
+        if violations:
+            raise AssertionError(f"generated instance violates hypotheses at {violations}")
     return D

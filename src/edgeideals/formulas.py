@@ -55,35 +55,31 @@ class FormulaPrediction:
     edge_count: int
 
 
-def predict(
-    D: WeightedDigraph,
-    *,
-    comps: list[WeightedDigraph] | None = None,
-    cls: GraphClass | None = None,
-) -> FormulaPrediction:
+def predict(D: WeightedDigraph) -> FormulaPrediction:
     """Evaluate the closed-form reg/pd predictions for a graph.
 
-    Sources count as 1 in the weight sum, since their weight never
-    enters the edge ideal; isolated vertices are excluded from the
-    weight sum and the component count.  ``comps`` and ``cls`` are
-    ``components(D)`` and ``classify(D)`` when the caller already has them.
+    Classifies the graph and lists its weight-hypothesis violations once;
+    both ride along in the prediction (``split_and_check`` reads the class
+    from it).  Sources count as 1 in the weight sum, since their weight
+    never enters the edge ideal; isolated vertices are excluded from the
+    weight sum and the component count.
     """
     if not D.edges:
         raise ValueError("the formulas need at least one edge")
-    comps = components(D) if comps is None else comps
-    cls = classify(D, comps) if cls is None else cls
-    hyp = check_hypotheses(D, cls)
+    comps = components(D)
+    cls = classify(D, comps)
+    violations = check_hypotheses(D)
     sum_w = sum(1 if D.is_source(n) else w for n, w in D.vertices if D.degree(n) > 0)
     n_edges = len(D.edges)
     comps_with_edges = sum(1 for c in comps if c.edges)
-    applicable = cls.tag is not GraphClassTag.OTHER and hyp.satisfied
+    applicable = cls.tag is not GraphClassTag.OTHER and not violations
     return FormulaPrediction(
         reg_pred=sum_w - n_edges + 1,
         pd_pred=n_edges - 1,
         depth_pred=comps_with_edges if applicable else None,
         applicable=applicable,
         class_used=cls,
-        violations=hyp.violations,
+        violations=violations,
         sum_weights=sum_w,
         edge_count=n_edges,
     )
@@ -273,11 +269,9 @@ def split_and_check(D: WeightedDigraph, e: tuple[str, str] | None = None):
     linear-resolution status of K and how reg/pd of J∩K compare with the
     values Σw - |E| + 2 and |E| - 2 that the splitting argument predicts.
     """
-    comps = components(D)
-    cls = classify(D, comps)
-    pair = build_split(D, e, cls=cls)
+    prediction = predict(D)
+    pair = build_split(D, e, cls=prediction.class_used)
     verdict = check_betti_splitting(pair.I, pair.J, pair.K)
-    prediction = predict(D, comps=comps, cls=cls)
     jk_reg = verdict.table_JK.reg()
     jk_pd = verdict.table_JK.pd()
     extras = {

@@ -261,6 +261,14 @@ class TestSplitting:
         assert code == EXIT_USAGE
         assert "cycle" in err
 
+    def test_edgeless_graph_rejected(self, capsys, tmp_path):
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"vertices": [{"name": "a", "weight": 2}], "edges": []}))
+        code, out, err = run_cli(capsys, "splitting", "--input", str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.splitlines() == ["splitting error: the formulas need at least one edge"]
+
     def test_identity_failure_exits_1(self, capsys, c3_path, monkeypatch):
         # J∩K replaced by K breaks the identity; the failures must be reported
         monkeypatch.setattr(formulas_mod, "intersect", lambda J, K: K)
