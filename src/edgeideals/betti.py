@@ -54,7 +54,6 @@ from .monomials import (
 from .simplicial import homology_ranks_of_masks, nerve_face_masks
 
 DEFAULT_GENERATOR_GUARD = 20
-MAX_STRAND_GROUND = 24  # not a cost bound; see _check_ground_guard
 # Up to FULL_CHECK_LIMIT generators every table is compared with the Taylor
 # oracle.  At every size SAMPLE_CHECKS subsets whose class has at most
 # SAMPLE_MAX_SIZE generators go through the nerve path, each distinct lcm
@@ -95,22 +94,6 @@ def _check_generator_guard(I: MonomialIdeal) -> None:
         raise GuardError(
             f"ideal has {len(I.generators)} generators; the guard allows {limit} "
             f"(override with {GUARD_ENV_VAR})"
-        )
-
-
-def _check_ground_guard(variables: int) -> None:
-    """Refuse a strand ground set of more than ``MAX_STRAND_GROUND`` variables.
-
-    ``betti_table`` applies it to supp(I), though no path lists faces of
-    the ground set: the nerve path works on at most one simplex per
-    generator.  The bound stays only because lifting it turns the
-    ``cli_mix`` benchmark's known-defect splitting (a polarized input of
-    26 variables) into a real computation, which re-baselines that
-    workload.
-    """
-    if variables > MAX_STRAND_GROUND:
-        raise GuardError(
-            f"strand ground set has {variables} variables; the guard allows {MAX_STRAND_GROUND}"
         )
 
 
@@ -451,9 +434,7 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
-    sup, gen_vecs = exponent_vectors(I)
-    # The strand at the lcm of all generators spans supp(I).
-    _check_ground_guard(len(sup))
+    _, gen_vecs = exponent_vectors(I)
     masks = thermometer_masks(gen_vecs)
     counts = subset_counts(masks)
     entries = {(k - 1, j): c for (k, j), c in counts.items() if k}

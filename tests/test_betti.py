@@ -221,12 +221,24 @@ class TestInvariants:
 
 class TestGuards:
     def test_generator_guard_env_override(self, monkeypatch):
+        # The refusal comes before any enumeration: neither the subset
+        # counts nor the class walk runs on a refused ideal.
         I = parse_ideal("(x1, x2, x3)")
+        enumerated = []
+
+        def recording(name):
+            real = getattr(betti_mod, name)
+            return lambda masks: enumerated.append(name) or real(masks)
+
+        for name in ("subset_counts", "_lcm_classes"):
+            monkeypatch.setattr(betti_mod, name, recording(name))
         monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "2")
         with pytest.raises(GuardError, match="guard"):
             betti_table(I)
+        assert not enumerated
         monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "3")
         assert betti_table(I).pd() == 2
+        assert "subset_counts" in enumerated
 
     def test_bad_env_value_rejected(self, monkeypatch):
         monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "many")
@@ -290,6 +302,11 @@ class TestStructuralIdentities:
     def test_polarization_invariance(self, rng):
         for _ in range(8):
             I = random_ideal(rng, max_gens=5, max_exp=3)
+            assert betti_table(I).entries == betti_table(polarize(I)).entries
+        # Five of these eight polarizations have more than 24 variables
+        # (one per mask bit); the engine answers them as it answers I.
+        for _ in range(8):
+            I = random_ideal(rng, n_vars=8, max_gens=6, max_exp=5)
             assert betti_table(I).entries == betti_table(polarize(I)).entries
 
     def test_dual_engine_agreement(self, rng):
@@ -631,15 +648,6 @@ class TestLcmClasses:
             tracemalloc.stop()
         assert table.pd() == 15
         assert peak < 2 * 2**20
-
-    def test_ground_guard_refuses_before_enumerating(self, monkeypatch):
-        ambient = tuple(Variable(f"x{i}") for i in range(1, 26))
-        gens = [Monomial({v: 1 for v in ambient[k:k + 5]}) for k in range(0, 25, 5)]
-        walked = []
-        monkeypatch.setattr(betti_mod, "_lcm_classes", lambda masks: walked.append(masks) or iter(()))
-        with pytest.raises(GuardError, match="strand ground set has 25 variables"):
-            betti_table(make_ideal(gens, ambient))
-        assert not walked
 
     def test_sample_catches_a_wrong_shared_rank_above_the_oracle_guard(self, monkeypatch):
         # A non-minimal ideal of 18 generators: the chord x1*x3 owns no bit.

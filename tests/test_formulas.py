@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import edgeideals.digraphs as digraphs_mod
 import edgeideals.formulas as formulas_mod
@@ -320,6 +322,34 @@ class TestCheckBettiSplitting:
         with pytest.raises(ValueError, match=f"^{zero_part} is the zero ideal"):
             check_betti_splitting(I, J, K)
         assert tables == []
+
+
+@st.composite
+def cyclic_graphs_at_scale(draw):
+    """OrientedCycle or UnicyclicAttached with 10-20 edges, weights 2..3 or
+    2..4, any seed; UnicyclicAttached takes a cycle of max(3, m // 3)."""
+    m = draw(st.integers(10, 20))
+    weights = draw(st.sampled_from([(2, 3), (2, 4)]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if draw(st.booleans()):
+        return random_instance("OrientedCycle", cycle_len=m, weight_range=weights, seed=seed)
+    cycle_len = max(3, m // 3)
+    return random_instance(
+        "UnicyclicAttached", cycle_len=cycle_len, extra_vertices=m - cycle_len,
+        weight_range=weights, seed=seed,
+    )
+
+
+class TestSplittingAtScale:
+    @given(cyclic_graphs_at_scale())
+    def test_splitting_at_scale_holds_with_its_closed_forms(self, D):
+        # The polarized inputs have up to 80 variables, one per mask bit.
+        _, verdict, extras = split_and_check(D)
+        assert verdict.is_splitting, verdict.failures
+        assert verdict.reg_formula_holds and verdict.pd_formula_holds
+        assert extras["K_has_linear_resolution"]
+        assert extras["JK_reg"] == extras["JK_reg_expected"]
+        assert extras["JK_pd"] == extras["JK_pd_expected"]
 
 
 class TestFormulaCampaignSpot:

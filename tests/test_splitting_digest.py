@@ -2,9 +2,11 @@
 
 The graphs are the splitting graphs of the ``cli_mix`` benchmark
 (``random_instance`` seed 0, weights 2..3: OrientedCycle 5, 6 and 7 and
-UnicyclicAttached 5+4) and fixture 2.9 split along its default edge and
-along x1 -> x2, each in json and md.  The payload holds no file path, so
-the digests do not depend on where the graph file is written.
+UnicyclicAttached 5+4; and its known-defect graph, UnicyclicAttached 5+4
+at weights 2..4, seed 3, whose polarization has 26 variables) and
+fixture 2.9 split along its default edge and along x1 -> x2, each in
+json and md.  The payload holds no file path, so the digests do not
+depend on where the graph file is written.
 """
 
 import hashlib
@@ -23,6 +25,9 @@ GRAPHS = {
     "UA5+4": lambda: random_instance(
         "UnicyclicAttached", cycle_len=5, extra_vertices=4, weight_range=(2, 3)
     ),
+    "UA5+4 w2..4 s3": lambda: random_instance(
+        "UnicyclicAttached", cycle_len=5, extra_vertices=4, weight_range=(2, 4), seed=3
+    ),
     "2.9": lambda: FIXTURES["2.9"].graph,
 }
 
@@ -35,6 +40,8 @@ DIGESTS = {
     ("OC7", None, "md"): "869741080974d0853befd9aa58e111af2935f445501852a38dbc896a73288a6e",
     ("UA5+4", None, "json"): "ef3f0847e33fd1daf55211c7ac83e76745c6705e9cdce3857757c2dada587a34",
     ("UA5+4", None, "md"): "c428d481e666901a01c49efe2572f67f9e19d8373369e6a6dc8906f1d89fc0e0",
+    ("UA5+4 w2..4 s3", None, "json"): "1dc2c947a9487851137ed9ed01e9ba610a3a550dcd89322c3492ffef6353dd22",
+    ("UA5+4 w2..4 s3", None, "md"): "21674ffb358eed7c65d1ec93c53f442f64073d877e9a57389fc572014ebaaa8e",
     ("2.9", None, "json"): "a2b7eb21bb4476de75c6b00d592f3762387adb3d475c56274b9b57c40a89fcc9",
     ("2.9", None, "md"): "605c7c231a2740d83fe2ae481f55034d4cb70a4fba997659ce5bfeb3d396e99b",
     ("2.9", "x1,x2", "json"): "443c099a9d659bf73f5fb3d7c4f3f640662b99c2b73b9d8ad578354527d83941",

@@ -6,7 +6,7 @@ ideals; 108 graphs (four classes, weights 2..3, 2..4 and 1..3, seeds
 cycle-edge splitting of every graph with a directed cycle: 446 in all.
 Each input contributes the repr of its table, or the message of the
 ``GuardError`` that refuses it, so a change to any table, or to which
-inputs are refused, changes the digest.
+inputs are refused, changes the digest.  No input is refused today.
 """
 
 import hashlib
@@ -20,7 +20,7 @@ from edgeideals.monomials import intersect, polarize
 
 from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
 
-DIGEST = "983bae5ad9845fb4e2bfd184b30f2f591375f48361c9f631db2031a300ae7f7a"
+DIGEST = "7c59b2a4afd212c6bfaad18313a925b98b27fa153f3dd03e276e59ad1073bff1"
 
 WEIGHTS = ((2, 3), (2, 4), (1, 3))
 
