@@ -1,5 +1,5 @@
-"""Monomial ideal arithmetic: minimal generators, lcm, intersection,
-external products, and polarization.
+"""Monomial ideal arithmetic: minimal generators, lcm, intersection and
+polarization.
 
 Run:  python3 demos/01_monomials_and_polarization.py
 """
@@ -7,7 +7,6 @@ Run:  python3 demos/01_monomials_and_polarization.py
 from edgeideals import (
     intersect,
     make_ideal,
-    multiply_external,
     parse_ideal,
     parse_monomial,
     polarize,
@@ -33,10 +32,6 @@ print(f"lcm({u}, {v}) =", u.lcm(v))
 A = parse_ideal("(x1*x2^2, x3)")
 B = parse_ideal("(x1*x2^2)")
 print(f"{A} ∩ {B} =", intersect(make_ideal(A.generators, A.ambient), make_ideal(B.generators, A.ambient)))
-
-# Multiplying by a monomial in fresh variables shifts degrees without
-# changing the homological structure.
-print("y^2 * (x1, x2) =", multiply_external(parse_monomial("y^2"), parse_ideal("(x1, x2)")))
 
 # Polarization replaces x^a by a product of a distinct indexed variables,
 # producing a squarefree ideal with the same graded Betti table.

@@ -6,7 +6,7 @@ I(D) = (tail·head^{w(head)}) obey
 
     reg = Σ w(x) - |E| + 1        pd = |E| - 1
 
-whenever every non-source vertex of degree != 1 has weight >= 2.  When a
+whenever every non-source vertex of degree >= 2 has weight >= 2.  When a
 hypothesis fails the numbers genuinely drift apart; fixture graphs the
 package ships show both situations.
 

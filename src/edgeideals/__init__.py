@@ -26,8 +26,6 @@ from .digraphs import (
     check_hypotheses,
     classify,
     components,
-    delete_edge,
-    delete_vertex,
     edge_ideal,
     normalize_source_weights,
     random_instance,
@@ -48,10 +46,8 @@ from .monomials import (
     Monomial,
     MonomialIdeal,
     Variable,
-    ideal_sum,
     intersect,
     make_ideal,
-    multiply_external,
     parse_ideal,
     parse_monomial,
     polarize,
@@ -83,15 +79,11 @@ __all__ = [
     "check_hypotheses",
     "classify",
     "components",
-    "delete_edge",
-    "delete_vertex",
     "edge_ideal",
     "euler_characteristic_check",
-    "ideal_sum",
     "intersect",
     "invariants",
     "make_ideal",
-    "multiply_external",
     "normalize_source_weights",
     "parse_ideal",
     "parse_monomial",

@@ -144,15 +144,6 @@ class BettiTable:
         shifted[(0, 0)] = 1
         return BettiTable("of_quotient", shifted)
 
-    def to_ideal(self) -> "BettiTable":
-        if self.convention == "of_ideal":
-            return self
-        if self[(0, 0)] != 1 or any(i == 0 and (i, j) != (0, 0) for i, j in self.entries):
-            raise ValueError("quotient table has a malformed row 0")
-        return BettiTable(
-            "of_ideal", {(i - 1, j): c for (i, j), c in self.entries.items() if i > 0}
-        )
-
     def to_json_map(self) -> dict[str, int]:
         return {f"{i},{j}": self.entries[(i, j)] for (i, j) in sorted(self.entries)}
 
@@ -197,7 +188,6 @@ class InvariantSummary:
     reg: int
     pd: int
     depth_of_quotient: int
-    ambient_variable_count: int
 
 
 def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
@@ -500,5 +490,4 @@ def invariants(I: MonomialIdeal, table: BettiTable | None = None) -> InvariantSu
         reg=table.reg(),
         pd=pd_ideal,
         depth_of_quotient=n - (pd_ideal + 1),
-        ambient_variable_count=n,
     )

@@ -12,7 +12,6 @@ random instances for verification campaigns.
 from __future__ import annotations
 
 import functools
-import json
 import random
 import warnings
 from dataclasses import dataclass
@@ -146,10 +145,6 @@ class WeightedDigraph:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed graph JSON: {exc}") from exc
 
-    @classmethod
-    def from_json(cls, text: str) -> "WeightedDigraph":
-        return cls.from_json_dict(json.loads(text))
-
 
 def normalize_source_weights(D: WeightedDigraph) -> WeightedDigraph:
     """Set every source's weight to 1 (its weight never enters the edge ideal).
@@ -210,23 +205,6 @@ def components(D: WeightedDigraph) -> list[WeightedDigraph]:
     return out
 
 
-def delete_edge(D: WeightedDigraph, e: tuple[str, str]) -> WeightedDigraph:
-    """Remove one directed edge, keeping all vertices."""
-    e = (str(e[0]), str(e[1]))
-    if e not in D.edges:
-        raise ValueError(f"edge {e} not in the graph")
-    return WeightedDigraph(D.vertices, tuple(x for x in D.edges if x != e))
-
-
-def delete_vertex(D: WeightedDigraph, v: str) -> WeightedDigraph:
-    """Remove a vertex and all incident edges (induced subgraph)."""
-    D._require(v)
-    return WeightedDigraph(
-        tuple(x for x in D.vertices if x[0] != v),
-        tuple(e for e in D.edges if v not in e),
-    )
-
-
 def _component_class(comp: WeightedDigraph) -> GraphClass:
     """ROOTED_FOREST with the root, ORIENTED_CYCLE or UNICYCLIC_ATTACHED
     with the directed cycle, or OTHER with ()."""
@@ -278,13 +256,14 @@ def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> 
 def check_hypotheses(D: WeightedDigraph) -> tuple[str, ...]:
     """The vertices violating the weight hypothesis, in declaration order.
 
-    The formulas need weight >= 2 at every non-source vertex whose
-    (underlying) degree differs from 1; on an oriented cycle that is
-    every vertex.  Sources are exempt: their weight is conventionally 1
-    and never appears in the edge ideal.
+    The formulas need weight >= 2 at every non-source vertex of
+    (underlying) degree >= 2; on an oriented cycle that is every vertex.
+    Sources are exempt: their weight is conventionally 1 and never
+    appears in the edge ideal.  So are isolated vertices, which carry no
+    generator and which ``predict`` leaves out of its sums.
     """
     return tuple(
-        n for n, w in D.vertices if w < 2 and D.degree(n) != 1 and not D.is_source(n)
+        n for n, w in D.vertices if w < 2 and D.degree(n) > 1 and not D.is_source(n)
     )
 
 

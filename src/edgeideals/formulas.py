@@ -1,7 +1,7 @@
 """Closed-form invariant predictions, hypothesis gating, and Betti splittings.
 
 For rooted forests, oriented cycles and unicyclic graphs whose non-source
-vertices of degree != 1 have weight >= 2, the edge ideal satisfies
+vertices of degree >= 2 have weight >= 2, the edge ideal satisfies
 
     reg I(D) = Σ_{x ∈ V(D)} w(x) - |E(D)| + 1,
     pd  I(D) = |E(D)| - 1,

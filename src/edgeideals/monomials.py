@@ -146,12 +146,6 @@ class Monomial:
                 exp[v] = e
         return Monomial(exp)
 
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        exp = dict(self._exp)
-        for v, e in other._exp.items():
-            exp[v] = exp.get(v, 0) + e
-        return Monomial(exp)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Monomial) and self._key == other._key
 
@@ -368,27 +362,6 @@ def intersect(J: MonomialIdeal, K: MonomialIdeal) -> MonomialIdeal:
     if J.is_zero() or K.is_zero():
         return MonomialIdeal(J.ambient, ())
     return make_ideal((u.lcm(v) for u in J.generators for v in K.generators), J.ambient)
-
-
-def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    """The ideal I + J over the union ambient (I's order first, then J's new vars)."""
-    extra = [v for v in J.ambient if v not in set(I.ambient)]
-    return make_ideal(I.generators + J.generators, I.ambient + tuple(extra))
-
-
-def multiply_external(u: Monomial, I: MonomialIdeal) -> MonomialIdeal:
-    """The product (u)·I for a monomial u with support disjoint from I's.
-
-    Overlapping support is rejected.  The result is already minimal, since
-    multiplying by a fixed external factor preserves divisibility.
-    """
-    overlap = u.support() & I.support()
-    if overlap:
-        names = ", ".join(sorted(str(v) for v in overlap))
-        raise ValueError(f"external factor shares support with the ideal: {names}")
-    extra = sorted(u.support() - set(I.ambient))
-    ambient = I.ambient + tuple(extra)
-    return make_ideal((u * g for g in I.generators), ambient)
 
 
 def polarize_monomial(u: Monomial) -> Monomial:

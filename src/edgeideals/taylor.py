@@ -170,9 +170,6 @@ class EulerCheck:
     ok: bool
     per_degree: dict[int, tuple[int, int]]  # j -> (table side, subset side)
 
-    def mismatches(self) -> dict[int, tuple[int, int]]:
-        return {j: pair for j, pair in self.per_degree.items() if pair[0] != pair[1]}
-
 
 def euler_characteristic_check(I: MonomialIdeal, table) -> EulerCheck:
     """Compare alternating Betti sums per degree with alternating subset counts.

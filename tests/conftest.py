@@ -52,6 +52,36 @@ def seeded_graph(tag: str, size: int, weights: tuple[int, int], seed: int) -> We
     return random_instance(tag, weight_range=weights, seed=seed, **shape)
 
 
+# References for operations the package does not need, written for the
+# valid inputs the tests build: no validation.
+
+
+def delete_edge(D: WeightedDigraph, e: tuple[str, str]) -> WeightedDigraph:
+    """D with the edge e removed and every vertex kept."""
+    return WeightedDigraph(D.vertices, [x for x in D.edges if x != e])
+
+
+def delete_vertex(D: WeightedDigraph, v: str) -> WeightedDigraph:
+    """The subgraph induced on every vertex but v."""
+    return WeightedDigraph([x for x in D.vertices if x[0] != v], [e for e in D.edges if v not in e])
+
+
+def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
+    """I + J for ideals over disjoint ambients, over I's ambient then J's."""
+    return make_ideal(I.generators + J.generators, I.ambient + J.ambient)
+
+
+def multiply_external(u: Monomial, I: MonomialIdeal) -> MonomialIdeal:
+    """(u)·I for a monomial u in variables outside I's ambient."""
+    ambient = I.ambient + tuple(sorted(u.support()))
+    return make_ideal([Monomial({**g.exponents, **u.exponents}) for g in I.generators], ambient)
+
+
+def euler_mismatches(check) -> dict[int, tuple[int, int]]:
+    """The degrees where an ``EulerCheck``'s two sides differ."""
+    return {j: pair for j, pair in check.per_degree.items() if pair[0] != pair[1]}
+
+
 @pytest.fixture
 def rng():
     return random.Random(20240817)

@@ -15,16 +15,10 @@ from edgeideals.cli import CampaignConfig, main, run_campaign
 from edgeideals.digraphs import GraphClassTag, edge_ideal, normalize_source_weights, random_instance
 from edgeideals.fixtures import FIXTURES, run_repro
 from edgeideals.formulas import VERDICT_PASS, split_and_check, verify_formula
-from edgeideals.monomials import (
-    Monomial,
-    Variable,
-    ideal_sum,
-    multiply_external,
-    polarize,
-)
+from edgeideals.monomials import Monomial, Variable, polarize
 from edgeideals.taylor import euler_characteristic_check, taylor_betti_table
 
-from conftest import random_ideal
+from conftest import ideal_sum, multiply_external, random_ideal
 
 
 def report(num: int, description: str, ok: bool):

@@ -28,9 +28,7 @@ from edgeideals.monomials import (
     Monomial,
     Variable,
     exponent_vectors,
-    ideal_sum,
     make_ideal,
-    multiply_external,
     parse_ideal,
     parse_monomial,
     polarize,
@@ -41,7 +39,14 @@ from edgeideals.monomials import (
 from edgeideals.simplicial import homology_ranks_of_masks, nerve_face_masks
 from edgeideals.taylor import TAYLOR_GUARD, euler_characteristic_check, taylor_betti_table
 
-from conftest import GRAPH_CLASSES, random_ideal, seeded_graph
+from conftest import (
+    GRAPH_CLASSES,
+    euler_mismatches,
+    ideal_sum,
+    multiply_external,
+    random_ideal,
+    seeded_graph,
+)
 from test_simplicial import antichain, fraction_rank, ranks_dict
 
 
@@ -211,7 +216,6 @@ class TestInvariants:
     def test_depth_via_auslander_buchsbaum(self):
         I = parse_ideal("(x1*x2, x2*x3)")
         s = invariants(I)
-        assert s.ambient_variable_count == 3
         assert s.depth_of_quotient == 3 - (s.pd + 1)
 
     def test_zero_ideal_rejected(self):
@@ -262,12 +266,6 @@ class TestConventionTranslation:
         assert q[(0, 0)] == 1
         for (i, j), c in t.entries.items():
             assert q[(i + 1, j)] == c
-        assert q.to_ideal() == t
-
-    def test_round_trip_on_random_ideals(self, rng):
-        for _ in range(10):
-            t = betti_table(random_ideal(rng, max_gens=4, max_exp=3))
-            assert t.to_quotient().to_ideal() == t
 
     def test_reg_pd_shift_between_conventions(self):
         t = betti_table(parse_ideal("(x1*x2^2, x2*x3)"))
@@ -320,7 +318,7 @@ class TestEulerCheck:
         for _ in range(5):
             I = random_ideal(rng, max_gens=5, max_exp=3)
             check = euler_characteristic_check(I, betti_table(I))
-            assert check.ok and not check.mismatches()
+            assert check.ok and not euler_mismatches(check)
 
     def test_zero_ideal_passes(self):
         I = make_ideal([], (Variable("x"),))
@@ -333,7 +331,7 @@ class TestEulerCheck:
         wrong[(1, 3)] = 2
         check = euler_characteristic_check(I, BettiTable("of_ideal", wrong))
         assert not check.ok
-        assert 3 in check.mismatches()
+        assert 3 in euler_mismatches(check)
 
     def test_runs_above_the_oracle_guard(self):
         # The subset side is T(-1, u), so 20 generators need no 2^20 walk.
@@ -345,7 +343,7 @@ class TestEulerCheck:
         wrong = dict(table.entries)
         wrong[(1, j)] += 1  # quotient row 2: adds 1 to the alternating sum at j
         bad = euler_characteristic_check(I, BettiTable("of_ideal", wrong))
-        assert bad.mismatches() == {j: (good.per_degree[j][0] + 1, good.per_degree[j][1])}
+        assert euler_mismatches(bad) == {j: (good.per_degree[j][0] + 1, good.per_degree[j][1])}
 
 
 class TestRendering:
@@ -707,7 +705,7 @@ class TestLcmClasses:
         I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)")
         table = betti_table(I)
         monkeypatch.setattr(betti_mod, "betti_table", None)
-        assert invariants(I, table) == InvariantSummary(11, 3, 0, 4)
+        assert invariants(I, table) == InvariantSummary(11, 3, 0)
 
 
 @st.composite

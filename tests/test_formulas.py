@@ -9,7 +9,6 @@ from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
     classify,
-    delete_edge,
     edge_generator,
     edge_ideal,
     normalize_source_weights,
@@ -34,7 +33,7 @@ from edgeideals.monomials import (
     polarize_monomial,
 )
 
-from conftest import random_ideal, seeded_graph
+from conftest import delete_edge, random_ideal, seeded_graph
 
 
 def cycle_graph(n, weight=2):
@@ -159,6 +158,21 @@ class TestVerifyFormula:
         assert r.prediction.class_used.tag is GraphClassTag.UNICYCLIC_GENERAL
         assert r.verdict == VERDICT_PASS
         assert r.prediction.depth_pred == 2
+
+    def test_isolated_weight_one_vertex_is_no_violation(self):
+        # z carries no generator, so the hypothesis does not constrain it.
+        D = cycle_graph(3)
+        D = WeightedDigraph(D.vertices + (("z", 1),), D.edges)
+        r = verify_formula(D)
+        assert r.prediction.violations == ()
+        assert r.verdict == VERDICT_PASS
+
+    def test_isolated_weight_one_vertex_beside_real_violations_is_not_listed(self):
+        D = FIXTURES["3.4"].graph
+        D = WeightedDigraph(D.vertices + (("z", 1),), D.edges)
+        r = verify_formula(D)
+        assert r.prediction.violations == ("x6", "x7")
+        assert r.verdict == VERDICT_INAPPLICABLE_MISMATCH
 
     def test_two_cycle_components_pass(self):
         D = WeightedDigraph(

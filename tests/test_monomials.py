@@ -9,10 +9,8 @@ from edgeideals.monomials import (
     Monomial,
     Variable,
     exponent_vectors,
-    ideal_sum,
     intersect,
     make_ideal,
-    multiply_external,
     parse_ideal,
     parse_monomial,
     polarize,
@@ -99,27 +97,6 @@ class TestIntersect:
         K = make_ideal([M(x2=1)], (x2,))
         with pytest.raises(ValueError):
             intersect(J, K)
-
-
-class TestMultiplyExternal:
-    def test_direct_product(self):
-        I = make_ideal([M(x1=1, x2=1)], (x1, x2))
-        out = multiply_external(M(y=2), I)
-        assert set(out.generators) == {M(y=2, x1=1, x2=1)}
-
-    def test_unit_leaves_ideal_unchanged(self):
-        I = make_ideal([M(x1=1, x2=1)], (x1, x2))
-        assert set(multiply_external(Monomial(), I).generators) == set(I.generators)
-
-    def test_distributes_over_generators(self):
-        I = make_ideal([M(x1=1), M(x2=1)], (x1, x2))
-        out = multiply_external(M(y=1), I)
-        assert set(out.generators) == {M(y=1, x1=1), M(y=1, x2=1)}
-
-    def test_overlapping_support_rejected(self):
-        I = make_ideal([M(x1=1, x2=1)], (x1, x2))
-        with pytest.raises(ValueError, match="support"):
-            multiply_external(M(x1=1), I)
 
 
 class TestPolarize:
@@ -272,14 +249,6 @@ def test_masks_are_the_polarization(rows):
     masks = thermometer_masks(exponent_vectors(I)[1])
     polarized = thermometer_masks(exponent_vectors(polarize(I))[1])
     assert sorted(polarized) == sorted(masks)
-
-
-def test_ideal_sum_merges_ambients():
-    I = make_ideal([M(x1=1)], (x1,))
-    J = make_ideal([M(x2=2)], (x2,))
-    S = ideal_sum(I, J)
-    assert S.ambient == (x1, x2)
-    assert set(S.generators) == {M(x1=1), M(x2=2)}
 
 
 def test_polarize_monomial_unit():
