@@ -287,17 +287,17 @@ def _taylor_minimal(masks: list[int]) -> bool:
 
     The one test of private bits: on G(I) it says that every subset is
     the only one with its lcm, so the Taylor resolution is minimal; on the
-    members of a closed set U, that U is a single cell.  Prefix and suffix
-    ORs make this O(m) mask operations.
+    members of a closed set U, that U is a single cell.  The private bits
+    are those set at least once and not twice, found in one pass.
     """
-    suffix = [0] * (len(masks) + 1)
-    for i in range(len(masks) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | masks[i]
-    prefix = 0
-    for i, mask in enumerate(masks):
-        if not mask & ~(prefix | suffix[i + 1]):
+    once = twice = 0
+    for mask in masks:
+        twice |= once & mask
+        once |= mask
+    private = once & ~twice
+    for mask in masks:
+        if not mask & private:
             return False
-        prefix |= mask
     return True
 
 

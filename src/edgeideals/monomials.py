@@ -287,18 +287,18 @@ def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:
 
     Each bit is a variable of the polarization, so deg lcm S is the number
     of bits set in some member of S, and a frontier DP over the generators
-    counts the subsets exactly.  A state is the OR of the taken masks
-    restricted to the open bits (seen, and still to be seen again); after a
-    bit's last owner it is counted into the degree and cleared.  Generators
+    counts the subsets exactly.  A state is the OR of the taken masks on
+    the open bits: a bit opens, and enters the degree, when its first
+    owner is taken, and leaves the key after its last owner.  Generators
     go in BFS order over shared bits, which keeps few bits open at once.
     States never outnumber the subsets of the generators seen so far.
 
     Each state holds its polynomial in t and u packed into one int: the
     count at t^k u^j is the B-bit field at bit (k·(W+1) + j)·B, W being
     the mask width and B = m + 1 rounded up to a whole byte.  Taking a
-    generator shifts by one power of t, closing bits by their number of
-    powers of u, and two states that meet add.  Every field of every state
-    counts k-subsets of the generators seen so far, at most C(m, k) < 2^m,
+    generator shifts by t and by u per bit it opens; states that meet
+    add.  Each field is exact at every step: it counts the k-subsets of
+    the generators seen so far that cover j bits, at most C(m, k) < 2^m,
     so no field carries into the next, and the result is unpacked once.
     """
     m = len(masks)
@@ -331,16 +331,13 @@ def subset_counts(masks: list[int]) -> dict[tuple[int, int], int]:
     states = {0: 1}  # open bits of the lcm -> packed polynomial of its subsets
     for pos, i in enumerate(order):
         mask = masks[i]
-        close = mask & ~later[pos + 1]  # the bits whose last owner this is
+        keep = later[pos + 1]  # the bits that a later generator still owns
         step: dict[int, int] = {}
         for bits, poly in states.items():
-            done = bits & close
-            key = bits ^ done
-            step[key] = step.get(key, 0) + (poly << done.bit_count() * B)
-            bits |= mask
-            done = bits & close
-            key = bits ^ done
-            step[key] = step.get(key, 0) + (poly << take + done.bit_count() * B)
+            key = bits & keep
+            step[key] = step.get(key, 0) + poly
+            key = (bits | mask) & keep
+            step[key] = step.get(key, 0) + (poly << take + (mask & ~bits).bit_count() * B)
         states = step
     raw = states[0].to_bytes((m + 1) * take // 8, "little")
     out = {}

@@ -4,10 +4,11 @@ The Taylor complex on the minimal generators (one basis element per
 generator subset, in multidegree lcm of the subset) resolves S/I; its
 strand in a fixed multidegree, after killing the nonunit entries,
 computes the same graded Betti numbers as the minimal resolution.  The
-engine in ``betti`` reads its tables off the same strands but shares no
-code with this oracle, which groups all 2^m subsets by an integer lcm
-code of its own and ranks dense boundary matrices by fraction-free
-(Bareiss) elimination over the integers.  A strand that holds a single
+engine in ``betti`` reads its tables off the same strands, but this
+oracle shares only the monomial types with it: it reads the exponents
+itself, groups all 2^m subsets by an integer lcm code of its own and
+ranks dense boundary matrices by fraction-free (Bareiss) elimination
+over the integers.  A strand that holds a single
 subset S is one cell, counted at (|S| - 1, deg lcm S) with no matrix;
 those cells are counted in one pass of C loops (``Counter`` and ``map``
 over the codes), and only the subsets of a shared code are listed.
@@ -72,18 +73,19 @@ def rank_over_q(rows: list[list[int]]) -> int:
 def _subset_lcms(I: MonomialIdeal) -> list[int]:
     """lcm code of every generator subset, indexed by mask (bit k = generator k).
 
-    The oracle's own encoding, written here rather than taken from
-    ``monomials.thermometer_masks`` so that a fault in the engine's
-    encoding cannot hide in the oracle too.  Each variable gets a unary
-    field as wide as its largest exponent, and exponent e sets the field's
+    The oracle's own encoding, read off ``Monomial.exponent`` rather than
+    taken from ``monomials.exponent_vectors`` or ``thermometer_masks``,
+    so that a fault in the engine's encoding cannot hide in the oracle
+    too.  Each ambient variable gets a unary field as wide as its largest
+    exponent (none outside the support), and exponent e sets the field's
     low e bits.  The code is injective, the lcm of a subset is the OR of
     its generators' codes, and its degree is the code's ``bit_count()``.
     The 2^m codes are built by doubling and hold W bits each, W being the
     total exponent width (the engine's mask width).
     """
-    _, vectors = exponent_vectors(I)
-    codes, shift = [0] * len(vectors), 0
-    for column in zip(*vectors):
+    codes, shift = [0] * len(I.generators), 0
+    for v in I.ambient:
+        column = [g.exponent(v) for g in I.generators]
         for k, e in enumerate(column):
             codes[k] |= ((1 << e) - 1) << shift
         shift += max(column)

@@ -5,6 +5,7 @@ from collections import Counter
 from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 import pytest
 from hypothesis import assume, given
@@ -23,7 +24,7 @@ from edgeideals.betti import (
 )
 from edgeideals.fixtures import FIXTURES
 from edgeideals.digraphs import edge_ideal, random_instance
-from edgeideals.formulas import predict
+from edgeideals.formulas import VERDICT_PASS, predict, verify_formula
 from edgeideals.monomials import (
     Monomial,
     Variable,
@@ -752,6 +753,7 @@ class TestTaylorOracle:
         want = taylor_betti_table(I)
         with pytest.MonkeyPatch.context() as mp:
             for module, name in (
+                (taylor_mod, "exponent_vectors"),
                 (taylor_mod, "thermometer_masks"),
                 (taylor_mod, "subset_counts"),
                 (simplicial_mod, "exact_rank"),
@@ -932,6 +934,13 @@ class TestSubsetCounts:
         singles = [single for _, single in brute_force_classes(masks).values()]
         assert betti_mod._taylor_minimal(masks) == all(singles)
 
+    @given(st.lists(st.integers(0, (1 << 40) - 1), max_size=20))
+    def test_taylor_minimal_iff_every_mask_has_a_private_bit(self, masks):
+        # any masks, duplicates and zeros included
+        others = [reduce(or_, masks[:i] + masks[i + 1:], 0) for i in range(len(masks))]
+        private = [mask & ~rest for mask, rest in zip(masks, others)]
+        assert betti_mod._taylor_minimal(masks) == all(private)
+
     @pytest.mark.parametrize(
         "m, skew, check",
         [
@@ -984,6 +993,39 @@ class TestTaylorMinimalPremise:
     def test_fixtures_take_the_path_their_hypotheses_predict(self):
         got = {ident: certified(edge_ideal(f.graph)) for ident, f in FIXTURES.items()}
         assert got == {"2.9": True, "3.4": False, "3.6": False, "3.7": False}
+
+
+LADDER = {
+    "OrientedCycle-64": ("OrientedCycle", dict(cycle_len=64)),
+    "OrientedCycle-128": ("OrientedCycle", dict(cycle_len=128)),
+    "UnicyclicAttached-16+48": ("UnicyclicAttached", dict(cycle_len=16, extra_vertices=48)),
+}
+
+
+def ladder_graph(rung):
+    tag, shape = LADDER[rung]
+    return random_instance(tag, weight_range=(2, 3), seed=1, **shape)
+
+
+class TestLadderSizes:
+    """Rungs of the size ladder, 64 to 128 generators: DP fields of 9 to
+    17 bytes, past the generator guard, which is raised here."""
+
+    @pytest.mark.parametrize(
+        "rung, reg, pd",
+        [("OrientedCycle-64", 93, 63), ("OrientedCycle-128", 189, 127), ("UnicyclicAttached-16+48", 81, 63)],
+    )
+    def test_formula_passes(self, monkeypatch, rung, reg, pd):
+        monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "128")
+        report = verify_formula(ladder_graph(rung))
+        assert report.verdict == VERDICT_PASS
+        assert (report.computed.reg, report.computed.pd) == (reg, pd)
+
+    @pytest.mark.parametrize("rung", ["OrientedCycle-64", "UnicyclicAttached-16+48"])
+    def test_subset_counts_match_the_tuple_dp(self, rung):
+        masks = thermometer_masks(exponent_vectors(edge_ideal(ladder_graph(rung)))[1])
+        assert len(masks) == 64
+        assert subset_counts(masks) == tuple_subset_counts(masks)
 
 
 class TestWeightOneCounterexamples:
