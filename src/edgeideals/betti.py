@@ -263,23 +263,17 @@ def _strand_facets(masks: list[int], lcm: int) -> list[int]:
 
 
 def _strand_homology(facets: list[int]) -> dict[int, int]:
-    """Nonzero reduced homology ranks of a union of full simplices.
+    """Nonzero reduced homology ranks of a union of one or more full simplices.
 
     The ranks are those of the nerve K of the cover, which is homotopy
     equivalent to the union because all intersections of simplices are
     simplices.  Only the faces of K outside the closed star of nerve
     vertex 0 are listed and ranked (the star is a cone, so
     H̃(K) ≅ H(K, st 0)): the faces of the deletion of 0 whose intersection
-    misses facet 0.  If no face is left, K is that cone.  The void union
-    (no facets) has no homology; when facet 0 is empty, its star is empty
-    and every face stays.
+    misses facet 0.  If no face is left, K is that cone.  When facet 0 is
+    empty, its star is empty and every face stays.
     """
-    if not facets:
-        return {}
-    cells = nerve_face_masks(facets[1:], facets[0])
-    if not cells:
-        return {}
-    return {d: r for d, r in homology_ranks_of_masks(cells) if r}
+    return homology_ranks_of_masks(nerve_face_masks(facets[1:], facets[0]))
 
 
 def _taylor_minimal(masks: list[int]) -> bool:
@@ -376,8 +370,7 @@ def _taylor_strand(members: list[int], lcm: int) -> tuple[Counter, dict[int, int
     both keyed by the table's index i (cells of i+1 members).  The strand
     is the simplex on the members relative to the subsets of smaller lcm."""
     cells = _taylor_cells(members, lcm)
-    ranks = homology_ranks_of_masks(set(cells))
-    return Counter(c.bit_count() - 1 for c in cells), {i: h for i, h in ranks if h}
+    return Counter(c.bit_count() - 1 for c in cells), homology_ranks_of_masks(cells)
 
 
 @lru_cache(maxsize=64)

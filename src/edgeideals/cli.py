@@ -7,9 +7,9 @@ failure); 2 = usage or parse error, including a malformed
 3 = sizing guard.  A tripped guard propagates out of the engine to
 ``main``, which alone turns it into one ``sizing guard:`` line on
 stderr and exit 3 for every subcommand, with nothing on stdout.  JSON
-output is canonical (sorted keys) and byte-identical across runs of the
-same seeded command; ``verify`` adds its elapsed time unless given
---no-timing.
+output is canonical (sorted keys), and the stdout of a seeded command is
+byte-identical across runs; ``verify`` writes its elapsed time to
+stderr.
 """
 
 from __future__ import annotations
@@ -90,25 +90,20 @@ class CampaignReport:
     pass_count: int
     fail_count: int
     inapplicable_count: int
-    elapsed_seconds: float | None
 
     def to_json_dict(self) -> dict:
-        out = {
+        return {
             "config": self.config.to_json_dict(),
             "instances": [r.to_json_dict() for r in self.reports],
             "pass_count": self.pass_count,
             "fail_count": self.fail_count,
             "inapplicable_count": self.inapplicable_count,
         }
-        if self.elapsed_seconds is not None:
-            out["elapsed_seconds"] = self.elapsed_seconds
-        return out
 
 
-def run_campaign(config: CampaignConfig, *, with_timing: bool = True) -> CampaignReport:
+def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Generate seeded instances and verify each; deterministic under the seed."""
     rng = random.Random(f"campaign:{config.seed}")
-    started = time.monotonic()
     reports = []
     for index in range(config.instance_count):
         if config.class_tag is GraphClassTag.ROOTED_FOREST:
@@ -131,7 +126,6 @@ def run_campaign(config: CampaignConfig, *, with_timing: bool = True) -> Campaig
             seed=rng.randrange(2**32),
         )
         reports.append(verify_formula(D))
-    elapsed = time.monotonic() - started if with_timing else None
     passes = sum(1 for r in reports if r.verdict == VERDICT_PASS)
     fails = sum(1 for r in reports if r.verdict == VERDICT_FAIL)
     other = len(reports) - passes - fails
@@ -141,7 +135,6 @@ def run_campaign(config: CampaignConfig, *, with_timing: bool = True) -> Campaig
         pass_count=passes,
         fail_count=fails,
         inapplicable_count=other,
-        elapsed_seconds=elapsed,
     )
 
 
@@ -164,9 +157,6 @@ def _campaign_markdown(report: CampaignReport) -> str:
             f"| {idx} | {r.prediction.class_used.tag.value} | {r.computed.reg} | {r.prediction.reg_pred} "
             f"| {r.computed.pd} | {r.prediction.pd_pred} | {r.verdict} |"
         )
-    if report.elapsed_seconds is not None:
-        lines.append("")
-        lines.append(f"elapsed: {report.elapsed_seconds:.2f}s")
     return "\n".join(lines) + "\n"
 
 
@@ -270,7 +260,9 @@ def _cmd_verify(args) -> int:
     except ValueError as exc:
         print(f"invalid campaign config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    report = run_campaign(config, with_timing=not args.no_timing)
+    started = time.monotonic()
+    report = run_campaign(config)
+    print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
     if args.format == "md":
         print(_campaign_markdown(report), end="")
     elif args.format == "csv":
@@ -370,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--extra", default="0..3", help="extra vertex count range lo..hi")
     p.add_argument("--weights", default="2..4", help="weight range lo..hi")
     p.add_argument("--format", choices=["json", "md", "csv"], default="json")
-    p.add_argument("--no-timing", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("splitting", help="build and check a cycle-edge Betti splitting")

@@ -18,7 +18,6 @@ from .monomials import parse_monomial, polarize
 
 @dataclass(frozen=True)
 class ReproFixture:
-    ident: str
     graph: WeightedDigraph
     expected_computed: tuple[int, int] | None = None  # (reg, pd) of the edge ideal
     expected_predicted: tuple[int, int] | None = None  # closed-form (reg, pd)
@@ -27,7 +26,6 @@ class ReproFixture:
 
 FIXTURES: dict[str, ReproFixture] = {
     "2.9": ReproFixture(
-        ident="2.9",
         graph=WeightedDigraph(
             [("x1", 5), ("x2", 3), ("x3", 2), ("x4", 4)],
             [("x1", "x2"), ("x2", "x3"), ("x3", "x4"), ("x4", "x1")],
@@ -40,7 +38,6 @@ FIXTURES: dict[str, ReproFixture] = {
         ),
     ),
     "3.4": ReproFixture(
-        ident="3.4",
         graph=WeightedDigraph(
             [("x1", 2), ("x2", 2), ("x3", 2), ("x4", 2), ("x5", 2), ("x6", 1), ("x7", 1), ("x8", 2)],
             [
@@ -52,7 +49,6 @@ FIXTURES: dict[str, ReproFixture] = {
         expected_predicted=(7, 7),
     ),
     "3.6": ReproFixture(
-        ident="3.6",
         graph=WeightedDigraph(
             [("x1", 4), ("x2", 3), ("x3", 2), ("x4", 1), ("x5", 2)],
             [("x1", "x2"), ("x2", "x3"), ("x4", "x3"), ("x4", "x1"), ("x1", "x5")],
@@ -61,7 +57,6 @@ FIXTURES: dict[str, ReproFixture] = {
         expected_predicted=(8, 4),
     ),
     "3.7": ReproFixture(
-        ident="3.7",
         graph=WeightedDigraph(
             [("x1", 1), ("x2", 2), ("x3", 2), ("x4", 4), ("x5", 2), ("x6", 2), ("x7", 2), ("x8", 2)],
             [

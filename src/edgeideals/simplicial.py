@@ -14,7 +14,7 @@ in ``taylor`` keeps its own dense boundary code as the reference.
 from __future__ import annotations
 
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 def exact_rank(rows: list[dict[int, int]]) -> int:
@@ -86,10 +86,11 @@ def boundary_matrix(upper: list[int], lower: list[int]) -> list[dict[int, int]]:
     return rows
 
 
-def homology_ranks_of_masks(face_masks: set[int]) -> list[tuple[int, int]]:
-    """Rational homology ranks of a convex family of faces (with any two
-    faces, every face between them), the boundary dropping the faces
-    outside it.  Returns [(d, rank)] for d = -1 .. dim.
+def homology_ranks_of_masks(face_masks: Iterable[int]) -> dict[int, int]:
+    """Rational homology ranks of a convex family of distinct faces (with
+    any two faces, every face between them), the boundary dropping the
+    faces outside it.  Returns {d: rank} with the nonzero ranks only, so
+    {} for an acyclic or empty family.
 
     All faces of a complex, the empty face included, give its reduced
     homology; the faces of a simplex outside a subcomplex, the homology
@@ -105,18 +106,19 @@ def homology_ranks_of_masks(face_masks: set[int]) -> list[tuple[int, int]]:
         for d, faces in by_dim.items()
         if d - 1 in by_dim
     }
-    out = []
-    for d in range(-1, max(by_dim) + 1):
-        n_d = len(by_dim.get(d, ()))
-        h = n_d - ranks_boundary.get(d, 0) - ranks_boundary.get(d + 1, 0)
-        out.append((d, h))
+    out = {}
+    for d in sorted(by_dim):
+        h = len(by_dim[d]) - ranks_boundary.get(d, 0) - ranks_boundary.get(d + 1, 0)
+        if h:
+            out[d] = h
     return out
 
 
-def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> dict[int, int]:
+def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> list[int]:
     """Faces of the nerve of a cover by simplices with vertex sets ``facets``
-    whose intersection misses ``outside``, each mapped to that intersection
-    (-1 for the empty face, kept only when ``outside`` is 0).
+    whose intersection misses ``outside``, each listed once.  The empty
+    face intersects to everything, so it is listed only when ``outside``
+    is 0.
 
     A subset S of covering simplices spans a nerve face exactly when the
     intersection of their vertex sets is nonempty; since intersections of
@@ -133,9 +135,7 @@ def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> dict[int, int]:
     later = [-1] * (m + 1)  # later[j]: AND of facets[j:]
     for j in range(m - 1, -1, -1):
         later[j] = later[j + 1] & facets[j]
-    faces: dict[int, int] = {}  # nerve mask -> intersection mask (-1 = everything)
-    if not outside:
-        faces[0] = -1
+    faces = [] if outside else [0]
     frontier = [(0, -1)]
     while frontier:
         new = []
@@ -147,7 +147,7 @@ def nerve_face_masks(facets: Sequence[int], outside: int = 0) -> dict[int, int]:
                 if nxt:
                     face = mask | (1 << j)
                     if not nxt & outside:
-                        faces[face] = nxt
+                        faces.append(face)
                     new.append((face, nxt))
         frontier = new
     return faces

@@ -78,7 +78,7 @@ def test_criterion_2_counterexamples(ident, computed, predicted):
 )
 def test_criterion_3_theorem_campaigns(label, config):
     started = time.monotonic()
-    campaign = run_campaign(config, with_timing=False)
+    campaign = run_campaign(config)
     elapsed = time.monotonic() - started
     ok = campaign.pass_count == config.instance_count and elapsed < 600.0
     for r in campaign.reports:
@@ -163,7 +163,7 @@ def test_criterion_8_determinism(capsys):
     argv = [
         "verify", "--class", "UnicyclicAttached", "--count", "3",
         "--cycle", "3..4", "--extra", "1..2", "--weights", "2..3",
-        "--seed", "99", "--no-timing",
+        "--seed", "99",
     ]
     code1 = main(list(argv))
     out1 = capsys.readouterr().out

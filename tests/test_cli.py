@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -153,8 +154,14 @@ class TestCompute:
             assert len(calls) == tables
         assert len(polarized) == 1
 
-    def test_no_timing_flag_is_only_on_verify(self, capsys, c3_path):
-        for argv in (["compute", "--input", c3_path], ["splitting", "--input", c3_path]):
+    def test_no_subcommand_takes_a_no_timing_flag(self, capsys, c3_path):
+        # verify times itself on stderr, so no command needs the switch
+        for argv in (
+            ["compute", "--input", c3_path],
+            ["repro", "3.4"],
+            ["verify", "--class", "OrientedCycle", "--count", "1"],
+            ["splitting", "--input", c3_path],
+        ):
             assert run_cli(capsys, *argv, "--no-timing")[0] == EXIT_USAGE
 
 
@@ -170,7 +177,7 @@ class TestVerify:
     def test_small_campaign_passes(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--class", "OrientedCycle", "--count", "3",
-            "--cycle", "3..4", "--weights", "2..3", "--seed", "5", "--no-timing",
+            "--cycle", "3..4", "--weights", "2..3", "--seed", "5",
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -182,17 +189,26 @@ class TestVerify:
         args = (
             "verify", "--class", "UnicyclicAttached", "--count", "2",
             "--cycle", "3..4", "--extra", "0..2", "--weights", "2..3",
-            "--seed", "77", "--no-timing",
+            "--seed", "77",
         )
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert out1.encode() == out2.encode()
 
+    @pytest.mark.parametrize("fmt", ["json", "md", "csv"])
+    def test_elapsed_time_is_one_stderr_line_in_every_format(self, capsys, fmt):
+        args = ("verify", "--class", "OrientedCycle", "--count", "2", "--seed", "3", "--format", fmt)
+        runs = [run_cli(capsys, *args) for _ in range(2)]
+        assert runs[0][:2] == runs[1][:2]
+        assert "elapsed" not in runs[0][1]
+        for _, _, err in runs:
+            assert re.fullmatch(r"elapsed: \d+\.\d\ds\n", err)
+
     def test_csv_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--class", "RootedForest", "--count", "2",
             "--extra", "3..5", "--weights", "2..3", "--seed", "2",
-            "--format", "csv", "--no-timing",
+            "--format", "csv",
         )
         assert code == EXIT_OK
         lines = out.strip().splitlines()
@@ -203,7 +219,7 @@ class TestVerify:
         code, out, _ = run_cli(
             capsys, "verify", "--class", "RootedForest", "--count", "2",
             "--extra", "3..4", "--weights", "2..3", "--seed", "2",
-            "--format", "md", "--no-timing",
+            "--format", "md",
         )
         assert code == EXIT_OK
         assert out.startswith("# Verification campaign")
@@ -214,7 +230,7 @@ class TestVerify:
         code, out, _ = run_cli(
             capsys, "verify", "--class", "UnicyclicAttached", "--count", "4",
             "--cycle", "3..4", "--extra", "1..2", "--weights", "1..2",
-            "--seed", "5", "--no-timing",
+            "--seed", "5",
         )
         assert code == EXIT_OK
         payload = json.loads(out)
@@ -288,7 +304,7 @@ class TestSplitting:
     "argv",
     [
         ["compute", "--input", "GRAPH"],
-        ["verify", "--class", "OrientedCycle", "--count", "2", "--no-timing"],
+        ["verify", "--class", "OrientedCycle", "--count", "2"],
         ["repro", "3.4"],
         ["splitting", "--input", "GRAPH"],
     ],
@@ -309,7 +325,7 @@ def test_every_command_refuses_with_exit_3(capsys, monkeypatch, c3_path, argv):
     [
         ["compute", "--ideal", "(x1*x2)"],
         ["compute", "--input", "GRAPH"],
-        ["verify", "--class", "OrientedCycle", "--count", "1", "--no-timing"],
+        ["verify", "--class", "OrientedCycle", "--count", "1"],
         ["repro", "3.4"],
         ["splitting", "--input", "GRAPH"],
     ],
@@ -364,17 +380,23 @@ def test_consecutive_calls_print_what_fresh_calls_print(capsys, c3_path):
         ["compute", "--format", "nope"],
         ["repro", "2.9"],
         ["--help"],
-        ["verify", "--class", "OrientedCycle", "--count", "2", "--no-timing"],
+        ["verify", "--class", "OrientedCycle", "--count", "2"],
         ["splitting", "--help"],
         ["compute", "--ideal", "(x1*x2, x2*x3)"],
     ]
+
+    def untimed(argv):
+        # verify's one stderr line carries the wall-clock time
+        code, out, err = run_cli(capsys, *argv)
+        return code, out, re.sub(r"^elapsed: .*\n", "", err, flags=re.M)
+
     fresh = []
     for argv in calls:
         cli_mod.build_parser.cache_clear()
-        fresh.append(run_cli(capsys, *argv))
+        fresh.append(untimed(argv))
     assert [code for code, _, _ in fresh] == [EXIT_OK, EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK]
     parser = cli_mod.build_parser()
-    assert [run_cli(capsys, *argv) for argv in calls] == fresh
+    assert [untimed(argv) for argv in calls] == fresh
     assert cli_mod.build_parser() is parser
 
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 import edgeideals.digraphs as digraphs_mod
 import edgeideals.formulas as formulas_mod
-from edgeideals.betti import GuardError, betti_table
+from edgeideals.betti import DEFAULT_GENERATOR_GUARD, GuardError, betti_table
 from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -26,12 +26,14 @@ from edgeideals.formulas import (
 )
 from edgeideals.monomials import (
     MonomialIdeal,
+    intersect,
     make_ideal,
     parse_ideal,
     parse_monomial,
     polarize,
     polarize_monomial,
 )
+from edgeideals.taylor import TAYLOR_GUARD
 
 from conftest import delete_edge, random_ideal, seeded_graph
 
@@ -359,6 +361,20 @@ class TestSplittingAtScale:
     def test_splitting_at_scale_holds_with_its_closed_forms(self, D):
         # The polarized inputs have up to 80 variables, one per mask bit.
         _, verdict, extras = split_and_check(D)
+        assert verdict.is_splitting, verdict.failures
+        assert verdict.reg_formula_holds and verdict.pd_formula_holds
+        assert extras["K_has_linear_resolution"]
+        assert extras["JK_reg"] == extras["JK_reg_expected"]
+        assert extras["JK_pd"] == extras["JK_pd_expected"]
+
+    @pytest.mark.parametrize("tag", ["OrientedCycle", "UnicyclicAttached"])
+    def test_splitting_past_the_generator_guard(self, monkeypatch, tag):
+        # 32 edges: J∩K has 31 generators, past the default guard and the
+        # Taylor oracle's limit, so only the engine's own checks vouch for
+        # its table.
+        monkeypatch.setenv("EIL_GUARD_GENS", "32")
+        pair, verdict, extras = split_and_check(seeded_graph(tag, 32, (2, 3), 1))
+        assert len(intersect(pair.J, pair.K).generators) == 31 > DEFAULT_GENERATOR_GUARD > TAYLOR_GUARD
         assert verdict.is_splitting, verdict.failures
         assert verdict.reg_formula_holds and verdict.pd_formula_holds
         assert extras["K_has_linear_resolution"]
