@@ -148,22 +148,20 @@ class BettiTable:
         return {f"{i},{j}": self.entries[(i, j)] for (i, j) in sorted(self.entries)}
 
     def render_grid(self) -> str:
-        """Macaulay-style grid: columns are i, rows are j - i."""
+        """Macaulay-style grid: columns are i, rows are the occupied j - i."""
         if self.is_empty():
             return "(empty Betti table)"
         cols = range(0, self.pd() + 1)
-        rows = range(min(j - i for i, j in self.entries), self.reg() + 1)
         totals = [sum(c for (i, _), c in self.entries.items() if i == col) for col in cols]
-        cells = [["."] * len(cols) for _ in rows]
+        cells = {j - i: ["."] * len(cols) for i, j in self.entries}
         for (i, j), c in self.entries.items():
-            cells[j - i - rows.start][i] = str(c)
-        width = [max(len(str(col)), len(str(totals[col])), *(len(r[col]) for r in cells)) for col in cols]
-        head = max(len("total:"), *(len(f"{r}:") for r in rows))
+            cells[j - i][i] = str(c)
+        width = [max(len(str(col)), len(str(totals[col])), *(len(r[col]) for r in cells.values())) for col in cols]
+        head = max(len("total:"), *(len(f"{r}:") for r in cells))
         lines = [" " * head + " " + " ".join(str(c).rjust(width[c]) for c in cols)]
         lines.append("total:".rjust(head) + " " + " ".join(str(totals[c]).rjust(width[c]) for c in cols))
-        for r in rows:
-            row = cells[r - rows.start]
-            lines.append(f"{r}:".rjust(head) + " " + " ".join(row[c].rjust(width[c]) for c in cols))
+        for r in sorted(cells):
+            lines.append(f"{r}:".rjust(head) + " " + " ".join(cells[r][c].rjust(width[c]) for c in cols))
         return "\n".join(lines)
 
     def __eq__(self, other) -> bool:

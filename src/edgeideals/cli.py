@@ -286,16 +286,18 @@ def _cmd_splitting(args) -> int:
             return EXIT_USAGE
         edge = (parts[0].strip(), parts[1].strip())
     try:
-        pair, verdict, extras = split_and_check(D, edge)
+        pair, verdict, prediction = split_and_check(D, edge)
     except ValueError as exc:
         print(f"splitting error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # linear: every nonzero entry of K's table lies in the one row j - i = deg K
+    k_linear = len({j - i for i, j in verdict.table_K.entries}) == 1
     payload = {
         "graph": D.to_json_dict(),
         "split_edge": list(pair.split_edge),
         "J": str(pair.J),
         "K": str(pair.K),
-        "K_has_linear_resolution": extras["K_has_linear_resolution"],
+        "K_has_linear_resolution": k_linear,
         "identity_holds": verdict.is_splitting,
         "identity_failures": [
             {"i": i, "j": j, "lhs": lhs, "rhs": rhs} for (i, j), lhs, rhs in verdict.failures
@@ -309,24 +311,24 @@ def _cmd_splitting(args) -> int:
             "J∩K": verdict.table_JK.to_json_map(),
         },
         "JK_invariants": {
-            "reg": extras["JK_reg"],
-            "pd": extras["JK_pd"],
-            "reg_closed_form": extras["JK_reg_expected"],
-            "pd_closed_form": extras["JK_pd_expected"],
-            "hypotheses_satisfied": extras["hypotheses_satisfied"],
+            "reg": verdict.table_JK.reg(),
+            "pd": verdict.table_JK.pd(),
+            "reg_closed_form": prediction.reg_pred + 1,
+            "pd_closed_form": prediction.pd_pred - 1,
+            "hypotheses_satisfied": prediction.applicable,
         },
     }
     if args.format == "md":
         lines = [
             f"## Betti splitting along {pair.split_edge[0]} -> {pair.split_edge[1]}",
             "",
-            f"- K = {pair.K} (linear resolution: {extras['K_has_linear_resolution']})",
+            f"- K = {pair.K} (linear resolution: {k_linear})",
             f"- J = {pair.J}",
             f"- identity holds at every (i, j): {verdict.is_splitting}",
             f"- reg max-formula holds: {verdict.reg_formula_holds}",
             f"- pd max-formula holds: {verdict.pd_formula_holds}",
-            f"- reg(J∩K) = {extras['JK_reg']} (closed form {extras['JK_reg_expected']}), "
-            f"pd(J∩K) = {extras['JK_pd']} (closed form {extras['JK_pd_expected']})",
+            f"- reg(J∩K) = {verdict.table_JK.reg()} (closed form {prediction.reg_pred + 1}), "
+            f"pd(J∩K) = {verdict.table_JK.pd()} (closed form {prediction.pd_pred - 1})",
         ]
         print("\n".join(lines))
     else:

@@ -8,8 +8,8 @@ vertices of degree >= 2 have weight >= 2, the edge ideal satisfies
 
 with isolated vertices excluded from the weight sum (they contribute no
 generator).  This module evaluates those predictions, compares them with
-the exact engine, and builds the cycle-edge Betti splitting of the
-polarized edge ideal together with its identity check.
+the exact engine, and builds the cycle-edge Betti splitting J + (k) of
+the polarized edge ideal with its identity check, J ∩ (k) read as k·(J : k).
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .digraphs import (
     edge_ideal,
 )
 from .monomials import (
+    Monomial,
     MonomialIdeal,
     intersect,
     polarize,
@@ -229,16 +230,25 @@ def check_betti_splitting(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) 
 
     Also reports the consequences reg(I) = max{reg J, reg K, reg(J∩K)-1}
     and pd(I) = max{pd J, pd K, pd(J∩K)+1}.  G(I) must be the disjoint
-    union of G(J) and G(K), and neither J nor K may be zero.
+    union of G(J) and G(K), neither J nor K may be zero, and K = (k)
+    must be principal.  Then J∩K = k·(J : k) (Francisco, Hà and Van
+    Tuyl, "Splittings of monomial ideals", Proc. AMS 137, 2009): G(J∩K)
+    divided by k is G(J : k), and J∩K's table is that of J : k with
+    every degree raised by deg k.
     """
     for name, part in (("J", J), ("K", K)):
         if part.is_zero():
             raise ValueError(f"{name} is the zero ideal; a Betti splitting needs J and K nonzero")
+    if len(K.generators) > 1:
+        raise ValueError("K must be principal; J∩K is read through the colon ideal J : k")
     gen_I, gen_J, gen_K = set(I.generators), set(J.generators), set(K.generators)
     if gen_J & gen_K or gen_J | gen_K != gen_I:
         raise ValueError("G(I) must be the disjoint union of G(J) and G(K)")
-    JK = intersect(J, K)
-    t_I, t_J, t_K, t_JK = betti_table(I), betti_table(J), betti_table(K), betti_table(JK)
+    (k,) = K.generators
+    colon = [Monomial({v: e - k.exponent(v) for v, e in h.exponents.items()}) for h in intersect(J, K).generators]
+    t_colon = betti_table(MonomialIdeal(I.ambient, tuple(colon)))
+    t_JK = BettiTable("of_ideal", {(i, j + k.degree()): c for (i, j), c in t_colon.entries.items()})
+    t_I, t_J, t_K = betti_table(I), betti_table(J), betti_table(K)
     keys = set(t_I.entries) | set(t_J.entries) | set(t_K.entries)
     keys |= {(i + 1, j) for (i, j) in t_JK.entries}
     failures = []
@@ -263,24 +273,11 @@ def check_betti_splitting(I: MonomialIdeal, J: MonomialIdeal, K: MonomialIdeal) 
 
 
 def split_and_check(D: WeightedDigraph, e: tuple[str, str] | None = None):
-    """build_split + identity check + the closed-form J∩K comparison.
+    """build_split + the identity check; returns (pair, verdict, prediction).
 
-    Returns (SplitPair, SplittingVerdict, extras) where extras records the
-    linear-resolution status of K and how reg/pd of J∩K compare with the
-    values Σw - |E| + 2 and |E| - 2 that the splitting argument predicts.
+    The splitting argument predicts reg(J∩K) = ``reg_pred + 1`` =
+    Σw - |E| + 2 and pd(J∩K) = ``pd_pred - 1`` = |E| - 2.
     """
     prediction = predict(D)
     pair = build_split(D, e, cls=prediction.class_used)
-    verdict = check_betti_splitting(pair.I, pair.J, pair.K)
-    jk_reg = verdict.table_JK.reg()
-    jk_pd = verdict.table_JK.pd()
-    extras = {
-        # linear: every nonzero entry lies in the one row j - i = deg K
-        "K_has_linear_resolution": len({j - i for i, j in verdict.table_K.entries}) == 1,
-        "JK_reg": jk_reg,
-        "JK_pd": jk_pd,
-        "JK_reg_expected": prediction.sum_weights - prediction.edge_count + 2,
-        "JK_pd_expected": prediction.edge_count - 2,
-        "hypotheses_satisfied": prediction.applicable,
-    }
-    return pair, verdict, extras
+    return pair, check_betti_splitting(pair.I, pair.J, pair.K), prediction

@@ -360,6 +360,16 @@ class TestRendering:
     def test_empty_table_renders(self):
         assert "empty" in BettiTable("of_ideal", {}).render_grid()
 
+    def test_grid_lists_only_the_occupied_rows(self):
+        # rows 2 and 1,000,001 with a million empty degrees between them
+        grid = BettiTable("of_ideal", {(0, 2): 1, (0, 1_000_001): 1, (1, 1_000_002): 1}).render_grid()
+        assert grid.splitlines() == [
+            "         0 1",
+            "  total: 2 1",
+            "      2: 1 .",
+            "1000001: 1 1",
+        ]
+
 
 FULL_CHECK_LIMIT = betti_mod.FULL_CHECK_LIMIT
 AMBIENT5 = tuple(Variable(f"x{i}") for i in range(1, 6))

@@ -21,6 +21,7 @@ from edgeideals.cli import (
 )
 from edgeideals.digraphs import GraphClassTag
 from edgeideals.fixtures import FIXTURES
+from edgeideals.monomials import MonomialIdeal, intersect
 
 C3_JSON = {
     "vertices": [
@@ -286,8 +287,11 @@ class TestSplitting:
         assert err.splitlines() == ["splitting error: the formulas need at least one edge"]
 
     def test_identity_failure_exits_1(self, capsys, c3_path, monkeypatch):
-        # J∩K replaced by K breaks the identity; the failures must be reported
-        monkeypatch.setattr(formulas_mod, "intersect", lambda J, K: K)
+        # J∩K without its first generator is a valid ideal but the wrong
+        # J∩K, so the identity breaks; the failures must be reported
+        monkeypatch.setattr(
+            formulas_mod, "intersect", lambda J, K: MonomialIdeal(J.ambient, intersect(J, K).generators[1:])
+        )
         code, out, _ = run_cli(capsys, "splitting", "--input", c3_path)
         assert code == EXIT_ASSERTION
         payload = json.loads(out)

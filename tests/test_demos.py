@@ -1,7 +1,7 @@
 """Every narrative demo runs to completion against the current package.
 
-The demos read report fields (``report.computed``, the splitting
-``extras``) that no other test reads through them.
+The demos read report fields (``report.computed``, the splitting's
+``prediction``) that no other test reads through them.
 """
 
 import os

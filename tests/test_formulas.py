@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import edgeideals.digraphs as digraphs_mod
@@ -25,6 +25,7 @@ from edgeideals.formulas import (
     verify_formula,
 )
 from edgeideals.monomials import (
+    Monomial,
     MonomialIdeal,
     intersect,
     make_ideal,
@@ -42,6 +43,17 @@ def cycle_graph(n, weight=2):
     names = [f"x{i}" for i in range(1, n + 1)]
     edges = [(names[i], names[(i + 1) % n]) for i in range(n)]
     return WeightedDigraph([(nm, weight) for nm in names], edges)
+
+
+def assert_splitting_holds(verdict, prediction):
+    """The identity and both max formulas hold, K has a linear resolution
+    (one row j - i), and J∩K's reg and pd are the splitting argument's
+    Σw - |E| + 2 and |E| - 2."""
+    assert verdict.is_splitting, verdict.failures
+    assert verdict.reg_formula_holds and verdict.pd_formula_holds
+    assert len({j - i for i, j in verdict.table_K.entries}) == 1
+    assert verdict.table_JK.reg() == prediction.reg_pred + 1
+    assert verdict.table_JK.pd() == prediction.pd_pred - 1
 
 
 class TestFixtureReports:
@@ -281,12 +293,8 @@ class TestBuildSplit:
 
 class TestCheckBettiSplitting:
     def test_split_of_small_cycle_is_a_splitting(self):
-        pair, verdict, extras = split_and_check(cycle_graph(3))
-        assert verdict.is_splitting
-        assert verdict.reg_formula_holds and verdict.pd_formula_holds
-        assert extras["K_has_linear_resolution"]
-        assert extras["JK_reg"] == extras["JK_reg_expected"]
-        assert extras["JK_pd"] == extras["JK_pd_expected"]
+        _, verdict, prediction = split_and_check(cycle_graph(3))
+        assert_splitting_holds(verdict, prediction)
 
     def test_split_and_check_classifies_once(self, monkeypatch):
         calls = []
@@ -321,6 +329,31 @@ class TestCheckBettiSplitting:
             for k in keys
         )
         assert verdict.is_splitting == brute
+
+    def test_non_principal_K_rejected(self):
+        I = parse_ideal("(x1*x2, x1*x3, x2*x3)")
+        J = make_ideal([parse_monomial("x1*x2")], I.ambient)
+        K = make_ideal([parse_monomial("x1*x3"), parse_monomial("x2*x3")], I.ambient)
+        with pytest.raises(ValueError, match="principal"):
+            check_betti_splitting(I, J, K)
+
+    @given(st.randoms(use_true_random=False))
+    def test_intersection_with_a_principal_ideal_is_the_shifted_colon(self, rng):
+        # J ∩ (k) = k·(J : k), with J : k generated by the g/gcd(g, k).
+        J = random_ideal(rng, n_vars=4, max_gens=6, max_exp=3)
+        draws = (Monomial({v: rng.randint(0, 3) for v in J.ambient}) for _ in range(20))
+        k = next((u for u in draws if not u.is_unit() and u not in J), None)
+        assume(k is not None)
+        colon = make_ideal(
+            [Monomial({v: e - min(e, k.exponent(v)) for v, e in g.exponents.items()}) for g in J.generators],
+            J.ambient,
+        )
+        K = MonomialIdeal(J.ambient, (k,))
+        direct = betti_table(intersect(J, K))
+        assert direct.entries == {(i, j + k.degree()): c for (i, j), c in betti_table(colon).entries.items()}
+        if not any(k.divides(g) for g in J.generators):
+            I = make_ideal(J.generators + (k,), J.ambient)
+            assert check_betti_splitting(I, J, K).table_JK == direct
 
     def test_bad_partition_rejected(self):
         I = parse_ideal("(x1*x2, x1*x3)")
@@ -360,12 +393,7 @@ class TestSplittingAtScale:
     @given(cyclic_graphs_at_scale())
     def test_splitting_at_scale_holds_with_its_closed_forms(self, D):
         # The polarized inputs have up to 80 variables, one per mask bit.
-        _, verdict, extras = split_and_check(D)
-        assert verdict.is_splitting, verdict.failures
-        assert verdict.reg_formula_holds and verdict.pd_formula_holds
-        assert extras["K_has_linear_resolution"]
-        assert extras["JK_reg"] == extras["JK_reg_expected"]
-        assert extras["JK_pd"] == extras["JK_pd_expected"]
+        assert_splitting_holds(*split_and_check(D)[1:])
 
     @pytest.mark.parametrize("tag", ["OrientedCycle", "UnicyclicAttached"])
     def test_splitting_past_the_generator_guard(self, monkeypatch, tag):
@@ -373,13 +401,29 @@ class TestSplittingAtScale:
         # Taylor oracle's limit, so only the engine's own checks vouch for
         # its table.
         monkeypatch.setenv("EIL_GUARD_GENS", "32")
-        pair, verdict, extras = split_and_check(seeded_graph(tag, 32, (2, 3), 1))
+        pair, verdict, prediction = split_and_check(seeded_graph(tag, 32, (2, 3), 1))
         assert len(intersect(pair.J, pair.K).generators) == 31 > DEFAULT_GENERATOR_GUARD > TAYLOR_GUARD
-        assert verdict.is_splitting, verdict.failures
-        assert verdict.reg_formula_holds and verdict.pd_formula_holds
-        assert extras["K_has_linear_resolution"]
-        assert extras["JK_reg"] == extras["JK_reg_expected"]
-        assert extras["JK_pd"] == extras["JK_pd_expected"]
+        assert_splitting_holds(verdict, prediction)
+
+    @pytest.mark.parametrize("m", [64, 128])
+    @pytest.mark.parametrize("tag", ["OrientedCycle", "UnicyclicAttached"])
+    def test_splitting_at_64_and_128_edges(self, monkeypatch, tag, m):
+        # J∩K has m - 1 generators, each carrying k's bits; the table is
+        # read through J : k, whose generators are free of them.
+        monkeypatch.setenv("EIL_GUARD_GENS", str(m))
+        assert_splitting_holds(*split_and_check(seeded_graph(tag, m, (2, 3), 1))[1:])
+
+    @pytest.mark.parametrize("tag", ["OrientedCycle", "UnicyclicAttached"])
+    def test_splitting_along_every_cycle_edge(self, monkeypatch, tag):
+        # 32 splittings on OrientedCycle, 17 on UnicyclicAttached 17+15.
+        monkeypatch.setenv("EIL_GUARD_GENS", "32")
+        D = seeded_graph(tag, 32, (2, 3), 1)
+        cycle = classify(D).witness
+        assert len(cycle) == {"OrientedCycle": 32, "UnicyclicAttached": 17}[tag]
+        for e in zip(cycle, cycle[1:] + cycle[:1]):
+            pair, verdict, prediction = split_and_check(D, e)
+            assert pair.split_edge == e
+            assert_splitting_holds(verdict, prediction)
 
 
 class TestFormulaCampaignSpot:
