@@ -8,7 +8,7 @@ Library layout:
 - :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
 - :mod:`edgeideals.formulas`  — closed-form predictions and Betti splittings
-- :mod:`edgeideals.cli`       — the ``eil`` command
+- :mod:`edgeideals.cli`       — the ``eil`` command, which renders every output format
 """
 
 from .betti import (

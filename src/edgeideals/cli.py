@@ -1,5 +1,8 @@
 """Command-line surface: ``eil compute | repro | verify | splitting``.
 
+Every stdout format is rendered here, from the plain records of
+:mod:`edgeideals.formulas`, through one output tail per command.
+
 Exit codes: 0 = ran, asserted checks passed; 1 = assertion failure
 (theorem-applicable mismatch, fixture mismatch, or splitting identity
 failure); 2 = usage or parse error, including a malformed
@@ -22,7 +25,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .betti import GuardError, betti_table, generator_guard, invariants
+from .betti import GuardError, InvariantSummary, betti_table, generator_guard, invariants
 from .digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -94,7 +97,7 @@ class CampaignReport:
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_json_dict(),
-            "instances": [r.to_json_dict() for r in self.reports],
+            "instances": [report_json_dict(r) for r in self.reports],
             "pass_count": self.pass_count,
             "fail_count": self.fail_count,
             "inapplicable_count": self.inapplicable_count,
@@ -142,6 +145,43 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
+def _invariants_json(summary: InvariantSummary) -> dict:
+    return {"reg": summary.reg, "pd": summary.pd, "depth": summary.depth_of_quotient}
+
+
+def _invariants_text(summary: InvariantSummary) -> str:
+    return f"reg = {summary.reg}, pd = {summary.pd}, depth(S/I) = {summary.depth_of_quotient}"
+
+
+def report_json_dict(report: InvariantReport) -> dict:
+    """The JSON form of one instance report, as ``compute --input`` and ``verify`` print it."""
+    p = report.prediction
+    return {
+        "graph": report.graph.to_json_dict(),
+        "class": p.class_used.tag.value,
+        "hypotheses": {"satisfied": not p.violations, "violations": list(p.violations)},
+        "computed": _invariants_json(report.computed),
+        "predicted": {"reg": p.reg_pred, "pd": p.pd_pred, "depth": p.depth_pred, "applicable": p.applicable},
+        "verdict": report.verdict,
+    }
+
+
+def report_markdown(report: InvariantReport) -> str:
+    """The markdown form of one instance report, without a trailing newline."""
+    p = report.prediction
+    lines = [
+        f"## Invariant report — class {p.class_used.tag.value}",
+        "",
+        f"- hypotheses satisfied: {not p.violations}"
+        + (f" (violations: {', '.join(p.violations)})" if p.violations else ""),
+        f"- predicted: reg = {p.reg_pred}, pd = {p.pd_pred}"
+        + (f", depth = {p.depth_pred} (component count; caveated)" if p.depth_pred is not None else ""),
+        f"- computed: {_invariants_text(report.computed)}",
+        f"- verdict: **{report.verdict}**",
+    ]
+    return "\n".join(lines)
+
+
 def _campaign_markdown(report: CampaignReport) -> str:
     lines = [
         f"# Verification campaign — {report.config.class_tag.value}",
@@ -177,17 +217,20 @@ def _parse_range(text: str, what: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _load_graph(path: str) -> WeightedDigraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return WeightedDigraph.from_json_dict(data)
+def _load_graph(path: str) -> WeightedDigraph | None:
+    """The graph in a JSON file, or None after a ``graph input error:`` line on stderr."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return WeightedDigraph.from_json_dict(json.load(fh))
+    except (OSError, ValueError) as exc:
+        print(f"graph input error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_compute(args) -> int:
     if bool(args.input) == bool(args.ideal):
         print("compute needs exactly one of --input or --ideal", file=sys.stderr)
         return EXIT_USAGE
-
     if args.ideal:
         try:
             ideal = parse_ideal(args.ideal)
@@ -199,42 +242,24 @@ def _cmd_compute(args) -> int:
             return EXIT_USAGE
         table = betti_table(ideal)
         summary = invariants(ideal, table)
-        payload = {
-            "input": args.ideal,
-            "ideal": str(ideal),
-            "betti_table": table.to_json_map(),
-            "invariants": {
-                "reg": summary.reg,
-                "pd": summary.pd,
-                "depth": summary.depth_of_quotient,
-            },
-        }
-        if args.format == "md":
-            print(f"## Invariants of {ideal}\n")
-            print(f"- reg = {summary.reg}, pd = {summary.pd}, depth(S/I) = {summary.depth_of_quotient}\n")
-            print("```\n" + table.render_grid() + "\n```")
-        else:
-            print(table.render_grid(), file=sys.stderr)
-            print(_canonical_json(payload), end="")
-        return EXIT_OK
-
-    try:
-        D = _load_graph(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"graph input error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not D.edges:
-        print("graph input error: the edge set is empty", file=sys.stderr)
-        return EXIT_USAGE
-    table = betti_table(edge_ideal(D))
-    report = verify_formula(D, table)
-    if args.format == "md":
-        print(report.to_markdown())
-        print("\n```\n" + table.render_grid() + "\n```")
+        payload = {"input": args.ideal, "ideal": str(ideal), "invariants": _invariants_json(summary)}
+        markdown = f"## Invariants of {ideal}\n\n- {_invariants_text(summary)}"
     else:
-        payload = report.to_json_dict()
+        D = _load_graph(args.input)
+        if D is None:
+            return EXIT_USAGE
+        if not D.edges:
+            print("graph input error: the edge set is empty", file=sys.stderr)
+            return EXIT_USAGE
+        table = betti_table(edge_ideal(D))
+        report = verify_formula(D, table)
+        payload, markdown = report_json_dict(report), report_markdown(report)
+    grid = table.render_grid()
+    if args.format == "md":
+        print(markdown + "\n\n```\n" + grid + "\n```")
+    else:
+        print(grid, file=sys.stderr)
         payload["betti_table"] = table.to_json_map()
-        print(table.render_grid(), file=sys.stderr)
         print(_canonical_json(payload), end="")
     return EXIT_OK
 
@@ -263,20 +288,14 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     report = run_campaign(config)
     print(f"elapsed: {time.monotonic() - started:.2f}s", file=sys.stderr)
-    if args.format == "md":
-        print(_campaign_markdown(report), end="")
-    elif args.format == "csv":
-        print(_campaign_csv(report), end="")
-    else:
-        print(_canonical_json(report.to_json_dict()), end="")
+    render = {"json": lambda r: _canonical_json(r.to_json_dict()), "md": _campaign_markdown, "csv": _campaign_csv}
+    print(render[args.format](report), end="")
     return EXIT_ASSERTION if report.fail_count else EXIT_OK
 
 
 def _cmd_splitting(args) -> int:
-    try:
-        D = _load_graph(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"graph input error: {exc}", file=sys.stderr)
+    D = _load_graph(args.input)
+    if D is None:
         return EXIT_USAGE
     edge = None
     if args.edge:
@@ -292,31 +311,12 @@ def _cmd_splitting(args) -> int:
         return EXIT_USAGE
     # linear: every nonzero entry of K's table lies in the one row j - i = deg K
     k_linear = len({j - i for i, j in verdict.table_K.entries}) == 1
-    payload = {
-        "graph": D.to_json_dict(),
-        "split_edge": list(pair.split_edge),
-        "J": str(pair.J),
-        "K": str(pair.K),
-        "K_has_linear_resolution": k_linear,
-        "identity_holds": verdict.is_splitting,
-        "identity_failures": [
-            {"i": i, "j": j, "lhs": lhs, "rhs": rhs} for (i, j), lhs, rhs in verdict.failures
-        ],
-        "reg_max_formula_holds": verdict.reg_formula_holds,
-        "pd_max_formula_holds": verdict.pd_formula_holds,
-        "tables": {
-            "I": verdict.table_I.to_json_map(),
-            "J": verdict.table_J.to_json_map(),
-            "K": verdict.table_K.to_json_map(),
-            "J∩K": verdict.table_JK.to_json_map(),
-        },
-        "JK_invariants": {
-            "reg": verdict.table_JK.reg(),
-            "pd": verdict.table_JK.pd(),
-            "reg_closed_form": prediction.reg_pred + 1,
-            "pd_closed_form": prediction.pd_pred - 1,
-            "hypotheses_satisfied": prediction.applicable,
-        },
+    jk = {
+        "reg": verdict.table_JK.reg(),
+        "pd": verdict.table_JK.pd(),
+        "reg_closed_form": prediction.reg_pred + 1,
+        "pd_closed_form": prediction.pd_pred - 1,
+        "hypotheses_satisfied": prediction.applicable,
     }
     if args.format == "md":
         lines = [
@@ -327,11 +327,31 @@ def _cmd_splitting(args) -> int:
             f"- identity holds at every (i, j): {verdict.is_splitting}",
             f"- reg max-formula holds: {verdict.reg_formula_holds}",
             f"- pd max-formula holds: {verdict.pd_formula_holds}",
-            f"- reg(J∩K) = {verdict.table_JK.reg()} (closed form {prediction.reg_pred + 1}), "
-            f"pd(J∩K) = {verdict.table_JK.pd()} (closed form {prediction.pd_pred - 1})",
+            f"- reg(J∩K) = {jk['reg']} (closed form {jk['reg_closed_form']}), "
+            f"pd(J∩K) = {jk['pd']} (closed form {jk['pd_closed_form']})",
         ]
         print("\n".join(lines))
     else:
+        payload = {
+            "graph": D.to_json_dict(),
+            "split_edge": list(pair.split_edge),
+            "J": str(pair.J),
+            "K": str(pair.K),
+            "K_has_linear_resolution": k_linear,
+            "identity_holds": verdict.is_splitting,
+            "identity_failures": [
+                {"i": i, "j": j, "lhs": lhs, "rhs": rhs} for (i, j), lhs, rhs in verdict.failures
+            ],
+            "reg_max_formula_holds": verdict.reg_formula_holds,
+            "pd_max_formula_holds": verdict.pd_formula_holds,
+            "tables": {
+                "I": verdict.table_I.to_json_map(),
+                "J": verdict.table_J.to_json_map(),
+                "K": verdict.table_K.to_json_map(),
+                "J∩K": verdict.table_JK.to_json_map(),
+            },
+            "JK_invariants": jk,
+        }
         print(_canonical_json(payload), end="")
     return EXIT_OK if verdict.is_splitting else EXIT_ASSERTION
 

@@ -10,6 +10,8 @@ with isolated vertices excluded from the weight sum (they contribute no
 generator).  This module evaluates those predictions, compares them with
 the exact engine, and builds the cycle-edge Betti splitting J + (k) of
 the polarized edge ideal with its identity check, J ∩ (k) read as k·(J : k).
+It holds records and checks only: every rendering of them, JSON or
+markdown, is in :mod:`edgeideals.cli`.
 """
 
 from __future__ import annotations
@@ -52,8 +54,6 @@ class FormulaPrediction:
     applicable: bool
     class_used: GraphClass
     violations: tuple[str, ...]
-    sum_weights: int
-    edge_count: int
 
 
 def predict(D: WeightedDigraph) -> FormulaPrediction:
@@ -81,8 +81,6 @@ def predict(D: WeightedDigraph) -> FormulaPrediction:
         applicable=applicable,
         class_used=cls,
         violations=violations,
-        sum_weights=sum_w,
-        edge_count=n_edges,
     )
 
 
@@ -98,50 +96,14 @@ class InvariantReport:
 
     When the hypotheses hold, disagreement is a FAILURE (it would
     contradict a theorem, so it means an implementation bug); when they
-    do not, disagreement is expected and reported descriptively.
+    do not, disagreement is expected and reported descriptively.  A
+    plain record: ``cli`` renders it.
     """
 
     graph: WeightedDigraph
     prediction: FormulaPrediction
     computed: InvariantSummary
     verdict: str
-
-    def to_json_dict(self) -> dict:
-        violations = self.prediction.violations
-        return {
-            "graph": self.graph.to_json_dict(),
-            "class": self.prediction.class_used.tag.value,
-            "hypotheses": {
-                "satisfied": not violations,
-                "violations": list(violations),
-            },
-            "computed": {
-                "reg": self.computed.reg,
-                "pd": self.computed.pd,
-                "depth": self.computed.depth_of_quotient,
-            },
-            "predicted": {
-                "reg": self.prediction.reg_pred,
-                "pd": self.prediction.pd_pred,
-                "depth": self.prediction.depth_pred,
-                "applicable": self.prediction.applicable,
-            },
-            "verdict": self.verdict,
-        }
-
-    def to_markdown(self) -> str:
-        p, c = self.prediction, self.computed
-        lines = [
-            f"## Invariant report — class {p.class_used.tag.value}",
-            "",
-            f"- hypotheses satisfied: {not p.violations}"
-            + (f" (violations: {', '.join(p.violations)})" if p.violations else ""),
-            f"- predicted: reg = {p.reg_pred}, pd = {p.pd_pred}"
-            + (f", depth = {p.depth_pred} (component count; caveated)" if p.depth_pred is not None else ""),
-            f"- computed: reg = {c.reg}, pd = {c.pd}, depth(S/I) = {c.depth_of_quotient}",
-            f"- verdict: **{self.verdict}**",
-        ]
-        return "\n".join(lines)
 
 
 def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> InvariantReport:
@@ -154,9 +116,7 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
     """
     prediction = predict(D)
     summary = invariants(edge_ideal(D), table)
-    match = (
-        summary.reg == prediction.reg_pred and summary.pd == prediction.pd_pred
-    )
+    match = (summary.reg, summary.pd) == (prediction.reg_pred, prediction.pd_pred)
     if prediction.applicable:
         verdict = VERDICT_PASS if match else VERDICT_FAIL
     else:

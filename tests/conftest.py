@@ -66,6 +66,12 @@ def delete_vertex(D: WeightedDigraph, v: str) -> WeightedDigraph:
     return WeightedDigraph([x for x in D.vertices if x[0] != v], [e for e in D.edges if v not in e])
 
 
+def weight_sum(D: WeightedDigraph) -> int:
+    """The formulas' Σw, read off the edge list: heads by weight, other edge vertices as 1."""
+    weights, heads = dict(D.vertices), {h for _, h in D.edges}
+    return sum(weights[v] if v in heads else 1 for v in {v for e in D.edges for v in e})
+
+
 def ideal_sum(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     """I + J for ideals over disjoint ambients, over I's ambient then J's."""
     return make_ideal(I.generators + J.generators, I.ambient + J.ambient)

@@ -18,7 +18,7 @@ from edgeideals.formulas import VERDICT_PASS, split_and_check, verify_formula
 from edgeideals.monomials import Monomial, Variable, polarize
 from edgeideals.taylor import euler_characteristic_check, taylor_betti_table
 
-from conftest import ideal_sum, multiply_external, random_ideal
+from conftest import ideal_sum, multiply_external, random_ideal, weight_sum
 
 
 def report(num: int, description: str, ok: bool):
@@ -84,8 +84,8 @@ def test_criterion_3_theorem_campaigns(label, config):
     for r in campaign.reports:
         assert r.computed is not None
         ok = ok and r.verdict == VERDICT_PASS
-        ok = ok and r.computed.reg == r.prediction.sum_weights - r.prediction.edge_count + 1
-        ok = ok and r.computed.pd == r.prediction.edge_count - 1
+        ok = ok and r.computed.reg == weight_sum(r.graph) - len(r.graph.edges) + 1
+        ok = ok and r.computed.pd == len(r.graph.edges) - 1
     report(
         3,
         f"{label}: {campaign.pass_count}/{config.instance_count} exact formula matches, {elapsed:.1f}s",

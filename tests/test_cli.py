@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import re
@@ -17,10 +18,13 @@ from edgeideals.cli import (
     EXIT_USAGE,
     CampaignConfig,
     main,
+    report_json_dict,
+    report_markdown,
     run_campaign,
 )
-from edgeideals.digraphs import GraphClassTag
+from edgeideals.digraphs import GraphClassTag, WeightedDigraph
 from edgeideals.fixtures import FIXTURES
+from edgeideals.formulas import verify_formula
 from edgeideals.monomials import MonomialIdeal, intersect
 
 C3_JSON = {
@@ -54,6 +58,32 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestReportRendering:
+    def test_other_class_satisfies_the_hypotheses_but_is_not_promised(self):
+        r = verify_formula(FIXTURES["3.6"].graph)
+        payload = report_json_dict(r)
+        assert payload["class"] == "Other"
+        assert payload["hypotheses"] == {"satisfied": True, "violations": []}
+        assert payload["predicted"]["applicable"] is False
+        assert "- hypotheses satisfied: True\n" in report_markdown(r)
+
+    def test_violations_are_listed(self):
+        r = verify_formula(FIXTURES["3.4"].graph)
+        assert report_json_dict(r)["hypotheses"] == {"satisfied": False, "violations": ["x6", "x7"]}
+        assert "- hypotheses satisfied: False (violations: x6, x7)" in report_markdown(r)
+
+    def test_report_json_shape(self):
+        r = verify_formula(WeightedDigraph.from_json_dict(C3_JSON))
+        d = report_json_dict(r)
+        assert set(d) == {"graph", "class", "hypotheses", "computed", "predicted", "verdict"}
+        assert d["predicted"]["applicable"] is True
+        assert d["graph"] == C3_JSON
+
+    def test_markdown_rendering(self):
+        text = report_markdown(verify_formula(WeightedDigraph.from_json_dict(C3_JSON)))
+        assert "verdict" in text and "predicted" in text
 
 
 class TestCompute:
@@ -418,6 +448,14 @@ def test_module_entry_point_runs():
     proc = run_module("repro", "2.9")
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_eil_console_script_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]["eil"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is main
 
 
 def test_usage_error_exit_code():
