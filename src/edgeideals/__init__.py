@@ -7,6 +7,7 @@ Library layout:
 - :mod:`edgeideals.simplicial` — exact homology ranks of face bitmasks
 - :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
+- :mod:`edgeideals.tables`    — the Betti table type and the sizing guards' error, shared by both
 - :mod:`edgeideals.formulas`  — closed-form predictions and Betti splittings
 - :mod:`edgeideals.cli`       — the ``eil`` command, which renders every output format
 """

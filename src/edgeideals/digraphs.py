@@ -11,7 +11,6 @@ random instances for verification campaigns.
 
 from __future__ import annotations
 
-import functools
 import random
 import warnings
 from dataclasses import dataclass
@@ -45,13 +44,6 @@ class GraphClass:
         return self.tag.value
 
 
-@functools.lru_cache(maxsize=4096)
-def _vertex_name(name: str) -> str:
-    """``name``, which Variable() checks once while it stays cached: a
-    ValueError if no variable can have it."""
-    return Variable(name).base
-
-
 class WeightedDigraph:
     """Immutable vertex-weighted oriented graph.
 
@@ -63,7 +55,7 @@ class WeightedDigraph:
     __slots__ = ("vertices", "edges", "_index", "_out", "_in")
 
     def __init__(self, vertices: Iterable[tuple[str, int]], edges: Iterable[tuple[str, str]]):
-        self.vertices = tuple((_vertex_name(n), w) for n, w in vertices)
+        self.vertices = tuple((Variable(n).base, w) for n, w in vertices)  # checks each name
         self.edges = tuple((str(t), str(h)) for t, h in edges)
         names = [n for n, _ in self.vertices]
         if len(set(names)) != len(names):
@@ -179,7 +171,7 @@ def edge_ideal(D: WeightedDigraph) -> MonomialIdeal:
 
 
 def components(D: WeightedDigraph) -> list[WeightedDigraph]:
-    """Connected components of the underlying graph, order inherited."""
+    """Connected components of the underlying graph, order inherited; ``[D]`` itself when D is connected."""
     names = D.vertex_names()
     parent = {n: n for n in names}
 
@@ -196,6 +188,8 @@ def components(D: WeightedDigraph) -> list[WeightedDigraph]:
     groups: dict[str, list[str]] = {}
     for n in names:
         groups.setdefault(find(n), []).append(n)
+    if len(groups) == 1:
+        return [D]
     out = []
     for root in sorted(groups, key=lambda r: D._index[groups[r][0]]):
         members = set(groups[root])

@@ -3,7 +3,10 @@
 Monomials are exponent maps over named variables, ideals are stored by
 their unique minimal generating set, and all arithmetic is exact
 (arbitrary-precision integer exponents).  Every value is immutable after
-construction and may be shared freely between threads.
+construction and may be shared freely between threads.  Variables are
+interned, one live object per name and built under a lock, so equality is
+identity; their hashes change with memory addresses, as string hashes do
+with the hash seed, so no output may depend on the order of a set of them.
 
 Textual syntax, used by the CLI and the tests:
 
@@ -16,10 +19,11 @@ Textual syntax, used by the CLI and the tests:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+import threading
+import weakref
 from functools import lru_cache, total_ordering
 from itertools import accumulate, compress, count, repeat
-from operator import floordiv
+from operator import attrgetter, floordiv
 from typing import Iterable, Mapping, Sequence
 
 
@@ -32,15 +36,13 @@ class IdealSyntaxError(ValueError):
         self.pos = pos
 
 
-@lru_cache(maxsize=4096)
 def _name_key(base: str) -> tuple:
-    """Validate a base variable name and return its sort key, once per name.
+    """Validate a base variable name and return its sort key.
 
     Digit runs compare numerically, so x2 sorts before x10.  Names whose
     runs compare equal (x1 and x01) are ordered by the name itself, so
     distinct variables never share a key.  Raises ``ValueError`` for a name
-    no variable can have; ``lru_cache`` keeps no failures, so every bad
-    name raises afresh.
+    no variable can have.
     """
     if not base or not re.fullmatch(r"[A-Za-z][A-Za-z0-9_]*", base):
         raise ValueError(f"invalid variable name: {base!r}")
@@ -56,29 +58,48 @@ def _name_key(base: str) -> tuple:
     return natural, base
 
 
+_registry: weakref.WeakValueDictionary = weakref.WeakValueDictionary()  # (base, polar) -> the live Variable
+_registry_lock = threading.Lock()
+
+
+@lru_cache(maxsize=4096)
+def _interned(base: str, polar: int | None) -> "Variable":
+    """The one live Variable of (base, polar).  The cache keeps recent ones
+    alive and the registry finds any other live one, so no name has two
+    objects.  ``lru_cache`` keeps no failures: bad names raise every time."""
+    with _registry_lock:
+        v = _registry.get((base, polar))
+        if v is None:
+            name_key = _name_key(base)
+            if polar is not None and polar < 1:
+                raise ValueError(f"polarization index must be >= 1, got {polar}")
+            v = _registry[base, polar] = object.__new__(Variable)
+            for slot, value in zip(Variable.__slots__, (base, polar, (name_key, polar or 0))):
+                object.__setattr__(v, slot, value)
+    return v
+
+
 @total_ordering
-@dataclass(frozen=True)
 class Variable:
     """A polynomial-ring variable, optionally carrying a polarization index.
 
     Ordinary variables have ``polar=None``; polarization produces doubly
-    indexed variables rendered ``base_j`` (j >= 1).
+    indexed variables rendered ``base_j`` (j >= 1).  Variables are
+    interned: ``Variable(base, polar)`` returns the one live object of its
+    name, so equality is identity and hashing is ``object.__hash__``.
     """
 
-    base: str
-    polar: int | None = None
-    _sort_key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("base", "polar", "_sort_key", "__weakref__")
 
-    def __post_init__(self):
-        name_key = _name_key(self.base)
-        if self.polar is not None and self.polar < 1:
-            raise ValueError(f"polarization index must be >= 1, got {self.polar}")
-        object.__setattr__(self, "_sort_key", (name_key, self.polar or 0))
-        object.__setattr__(self, "_hash", hash((self.base, self.polar)))
+    def __new__(cls, base: str, polar: int | None = None) -> "Variable":
+        return _interned(base, polar)
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Variable is immutable; cannot set {name!r}")
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return Variable, (self.base, self.polar)
 
     def is_polarized(self) -> bool:
         return self.polar is not None
@@ -87,13 +108,17 @@ class Variable:
         return self._sort_key
 
     def __lt__(self, other: "Variable") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._sort_key < other._sort_key
 
     def __str__(self) -> str:
         return self.base if self.polar is None else f"{self.base}_{self.polar}"
 
     def __repr__(self) -> str:
         return f"Variable({str(self)!r})"
+
+
+def _variable_order(item: tuple[Variable, int]) -> tuple:
+    return item[0]._sort_key
 
 
 @total_ordering
@@ -108,17 +133,19 @@ class Monomial:
     __slots__ = ("_exp", "_key", "_hash", "_order")
 
     def __init__(self, exponents: Mapping[Variable, int] | Iterable[tuple[Variable, int]] = ()):
-        exp = dict(exponents.items() if isinstance(exponents, Mapping) else exponents)
-        for v, e in exp.items():
+        exp = {}
+        for v, e in exponents.items() if isinstance(exponents, dict) or isinstance(exponents, Mapping) else exponents:
             if not isinstance(v, Variable):
                 raise TypeError(f"monomial keys must be Variable, got {v!r}")
             if e < 0:
                 raise ValueError(f"negative exponent {e} for {v}")
-        exp = {v: e for v, e in exp.items() if e != 0}
+            exp[v] = e
+            if not e:
+                del exp[v]  # zeros are dropped, and a later pair overrides an earlier one
         self._exp = exp
-        self._key = tuple(sorted(exp.items(), key=lambda t: t[0]._sort_key))
+        self._key = tuple(sorted(exp.items(), key=_variable_order))
         self._hash = hash(self._key)
-        self._order = (sum(exp.values()), tuple((v._sort_key, e) for v, e in self._key))
+        self._order = (sum(exp.values()), tuple([(v._sort_key, e) for v, e in self._key]))
 
     @property
     def exponents(self) -> dict[Variable, int]:
@@ -234,7 +261,7 @@ def make_ideal(raw_generators: Iterable[Monomial], ambient: Iterable[Variable]) 
     # in g, so each kept generator is filed under its first variable only.
     minimal: list[Monomial] = []
     by_first: dict[Variable, list[Monomial]] = {}
-    for g in sorted(gens):
+    for g in sorted(gens, key=attrgetter("_order")):  # Monomial.__lt__'s order, in C
         if not any(h.divides(g) for v in g._exp for h in by_first.get(v, ())):
             minimal.append(g)
             by_first.setdefault(g._key[0][0], []).append(g)

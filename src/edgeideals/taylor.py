@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from functools import lru_cache
+from itertools import accumulate, compress
 from operator import add
 
 from .monomials import MonomialIdeal, exponent_vectors, subset_counts, thermometer_masks
+from .tables import BettiTable, GuardError
 
 TAYLOR_GUARD = 16  # generators; the oracle visits all 2^m subsets
 
@@ -73,7 +75,7 @@ def rank_over_q(rows: list[list[int]]) -> int:
 def _subset_lcms(I: MonomialIdeal) -> list[int]:
     """lcm code of every generator subset, indexed by mask (bit k = generator k).
 
-    The oracle's own encoding, read off ``Monomial.exponent`` rather than
+    The oracle's own encoding, read off ``Monomial.exponents`` rather than
     taken from ``monomials.exponent_vectors`` or ``thermometer_masks``,
     so that a fault in the engine's encoding cannot hide in the oracle
     too.  Each ambient variable gets a unary field as wide as its largest
@@ -83,19 +85,28 @@ def _subset_lcms(I: MonomialIdeal) -> list[int]:
     The 2^m codes are built by doubling and hold W bits each, W being the
     total exponent width (the engine's mask width).
     """
-    codes, shift = [0] * len(I.generators), 0
-    for v in I.ambient:
-        column = [g.exponent(v) for g in I.generators]
-        for k, e in enumerate(column):
-            codes[k] |= ((1 << e) - 1) << shift
-        shift += max(column)
+    exponents = [g.exponents for g in I.generators]  # each generator read once
+    width = dict.fromkeys(I.ambient, 0)
+    for exp in exponents:
+        for v, e in exp.items():
+            width[v] = max(width[v], e)
+    offset = dict(zip(width, accumulate(width.values(), initial=0)))  # fields in ambient order
     lcms = [0]
-    for g in codes:
+    for exp in exponents:
+        g = 0
+        for v, e in exp.items():
+            g |= ((1 << e) - 1) << offset[v]
         lcms += [c | g for c in lcms]
     return lcms
 
 
-def taylor_betti_table(I: MonomialIdeal):
+@lru_cache(maxsize=TAYLOR_GUARD + 1)
+def _subset_sizes(m: int) -> tuple[int, ...]:
+    """|S| of every subset of m generators, indexed by mask."""
+    return tuple(map(int.bit_count, range(1 << m)))
+
+
+def taylor_betti_table(I: MonomialIdeal) -> BettiTable:
     """Betti table of I from Taylor strands (``of_ideal`` convention).
 
     Every subset is first counted as one cell by its size and lcm degree.
@@ -103,33 +114,27 @@ def taylor_betti_table(I: MonomialIdeal):
     out and ranked as a strand: the simplex on them relative to the
     subsets of smaller lcm, one dense boundary matrix per size.
     """
-    from .betti import BettiTable, GuardError  # local import: the engine also imports us
-
     if I.is_zero():
         return BettiTable("of_ideal", {})
     m = len(I.generators)
     if m > TAYLOR_GUARD:
         raise GuardError(f"Taylor oracle enumerates 2^{m} subsets; refusing beyond 2^{TAYLOR_GUARD}")
     lcms = _subset_lcms(I)
-    multiplicity = Counter(lcms)
+    sizes = _subset_sizes(m)
     # Every subset S is first counted as one cell at (|S|, deg lcm S), in C
-    # loops over keys |S|·stride + degree; the sizes are built by doubling,
-    # as the codes are.  The subsets of a shared code are then taken back
-    # out and form a strand whose boundary is ranked.
-    stride = lcms[-1].bit_length() + 1
-    sizes = [0]
-    for _ in range(m):
-        sizes += [s + stride for s in sizes]
-    cells = Counter(map(add, sizes, map(int.bit_count, lcms)))
+    # loops over keys deg·(m + 1) + |S|.  The subsets of a shared code are
+    # then taken back out and form a strand whose boundary is ranked.
+    stride = m + 1
+    cells = Counter(map(add, sizes, map(stride.__mul__, map(int.bit_count, lcms))))
     strands: dict[int, list[int]] = {}
-    if len(multiplicity) < len(lcms):
-        shared = {code for code, n in multiplicity.items() if n > 1}
+    if len(set(lcms)) < len(lcms):
+        shared = {code for code, n in Counter(lcms).items() if n > 1}
         for mask in compress(range(1 << m), map(shared.__contains__, lcms)):
             strands.setdefault(lcms[mask], []).append(mask)
-            cells[sizes[mask] + lcms[mask].bit_count()] -= 1
+            cells[sizes[mask] + stride * lcms[mask].bit_count()] -= 1
     # A lone subset S is its strand's only cell: β_{|S|-1, j} gets 1.  The
     # empty subset (key 0) is lone too and is dropped.
-    entries = {(key // stride - 1, key % stride): c for key, c in cells.items() if c and key}
+    entries = {(key % stride - 1, key // stride): c for key, c in cells.items() if c and key}
 
     for code, masks in strands.items():
         j = code.bit_count()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-import edgeideals.digraphs as digraphs_mod
+import edgeideals.monomials as monomials_mod
 from edgeideals.digraphs import (
     GraphClassTag,
     WeightedDigraph,
@@ -70,8 +70,9 @@ class TestBasics:
             WeightedDigraph([(name, 2), ("b", 2)], [(name, "b")])
 
     def test_name_cache_is_bounded(self):
-        # Every distinct vertex name a process sees would otherwise stay cached.
-        assert digraphs_mod._vertex_name.cache_info().maxsize == 4096
+        # Names are checked by the interned Variable constructor, whose cache
+        # would otherwise keep every distinct vertex name a process sees.
+        assert monomials_mod._interned.cache_info().maxsize == 4096
 
     def test_degree_sum_is_twice_edge_count(self):
         for seed in range(5):
@@ -376,6 +377,7 @@ class TestComponents:
     def test_connected_graph_is_one_component(self):
         D = cycle_graph(4)
         assert components(D) == [D]
+        assert components(D)[0] is D  # the graph itself, not a copy
 
     def test_empty_graph(self):
         assert components(WeightedDigraph([], [])) == []

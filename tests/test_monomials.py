@@ -1,9 +1,16 @@
+import copy
+import gc
+import pickle
 import random
+import sys
+import threading
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import edgeideals.monomials as monomials_mod
 from edgeideals.monomials import (
     IdealSyntaxError,
     Monomial,
@@ -292,6 +299,8 @@ def test_invalid_variable_names_raise_on_every_call():
             Variable("x_2")
         with pytest.raises(ValueError, match="polarization index must be >= 1"):
             Variable("x", 0)
+        with pytest.raises(ValueError, match="invalid variable name: '1x'"):
+            Variable("1x", 2)
 
 
 @given(st.lists(st.tuples(*[st.integers(0, 3)] * 4).filter(any), max_size=12))
@@ -301,3 +310,72 @@ def test_make_ideal_matches_pairwise_minimalization(rows):
     distinct = list(dict.fromkeys(gens))
     want = sorted(g for g in distinct if not any(h != g and h.divides(g) for h in distinct))
     assert make_ideal(gens, AMB).generators == tuple(want)
+
+
+class TestInternedVariables:
+    def test_one_object_per_name(self):
+        assert Variable("x1") is Variable("x1")
+        assert Variable("x", 2) is Variable("x", 2)
+        assert Variable("x", 2) is not Variable("x", 3)
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copies_are_the_interned_object(self, clone):
+        for v in (Variable("x1"), Variable("x", 2)):
+            assert clone(v) is v
+        m = M(x1=2, x2=1)
+        assert clone(m) == m and hash(clone(m)) == hash(m)
+
+    def test_attributes_cannot_be_set_or_deleted(self):
+        v = Variable("x1")
+        with pytest.raises(AttributeError):
+            v.base = "x2"
+        with pytest.raises(AttributeError):
+            v.tag = 1
+        with pytest.raises(AttributeError):
+            del v.polar
+        assert v.base == "x1" and v.polar is None
+
+    def test_threads_building_the_same_names_get_the_same_objects(self):
+        names = [f"thread{i}" for i in range(1000)]
+        results = [None] * 8
+        barrier = threading.Barrier(8, timeout=10)
+
+        def build(k):
+            barrier.wait()
+            results[k] = [Variable(n) for n in names]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got in results[1:]:
+            assert all(a is b for a, b in zip(got, results[0])) and len(got) == len(names)
+
+    def test_the_registry_is_bounded_by_the_keep_alive(self):
+        for i in range(20_000):
+            Variable(f"dropped{i}", 1)
+        gc.collect()
+        # Only the keep-alive cache holds them now; other tests' variables may
+        # be live too, so only these names are counted.
+        dropped = [base for base, _ in list(monomials_mod._registry.keys()) if base.startswith("dropped")]
+        assert len(dropped) <= monomials_mod._interned.cache_info().maxsize
+
+
+ORDER_NAMES = ("x1", "x01", "x2", "x10", "y", "ab1")
+
+
+@given(st.lists(st.dictionaries(st.sampled_from([(n, p) for n in ORDER_NAMES for p in (None, 1, 2)]),
+                                st.integers(1, 3), min_size=1, max_size=4), max_size=12))
+def test_make_ideal_key_sort_matches_monomial_order(exponent_maps):
+    # make_ideal sorts by the precomputed _order key; that is the order of
+    # Monomial.__lt__, on natural-order ties (x1, x01) and polarized names too.
+    gens = list({Monomial({Variable(*key): e for key, e in exp.items()}) for exp in exponent_maps})
+    assert sorted(gens, key=attrgetter("_order")) == sorted(gens)
