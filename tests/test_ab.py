@@ -12,10 +12,10 @@ spec.loader.exec_module(ab)
 END_TO_END = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
 
 
-def result(ops_per_s, p50, failed=0):
+def result(ops_per_s, p50, failed=0, correct=True):
     metrics = {"setup_s": 0.03, "peak_rss_mb": 30.0, "ops_per_s": ops_per_s, "op_s.p50": p50,
                "op_s.p90": p50, "max_m_10s": 20}
-    return {"correct": True, "attempted": 13, "failed": failed,
+    return {"correct": correct, "attempted": 13, "failed": failed,
             "metrics": {name: {"value": value, "unit": "-"} for name, value in metrics.items()}}
 
 
@@ -55,6 +55,22 @@ def test_more_failed_operations_void_a_gain():
     parent = [1500, 1450, 1520, 1480, 1490, 1510, 1470, 1500, 1460, 1530]
     rows = rows_by_metric([(result(a, 0.6), result(a * 1.15, 0.6, failed=1)) for a in parent])
     assert rows["ops_per_s"]["wins"] == 10 and not rows["ops_per_s"]["gain"]
+
+
+def test_one_run_with_wrong_outputs_voids_every_gain():
+    parent = [1500, 1450, 1520, 1480, 1490, 1510, 1470, 1500, 1460, 1530]
+    pairs = [(result(a, 0.6), result(a * 1.15, 0.5, correct=index != 3)) for index, a in enumerate(parent)]
+    rows = rows_by_metric(pairs)
+    assert rows["ops_per_s"]["wins"] == 10 and rows["op_s.p50"]["wins"] == 10
+    assert not any(row["gain"] for row in rows.values())
+    # the same runs, all correct, claim both gains
+    rows = rows_by_metric([(a, dict(b, correct=True)) for a, b in pairs])
+    assert rows["ops_per_s"]["gain"] and rows["op_s.p50"]["gain"]
+
+
+def test_fewer_than_ten_pairs_claim_no_gain():
+    rows = rows_by_metric([(result(a, 0.6), result(a * 1.15, 0.5)) for a in (1500, 1450, 1520, 1480, 1490)])
+    assert rows["ops_per_s"]["wins"] == 5 and not rows["ops_per_s"]["gain"]
 
 
 def test_render_has_one_line_per_metric():

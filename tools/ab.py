@@ -13,9 +13,13 @@ side's median and quartiles (``statistics.quantiles(n=4)``, as
 ``bench/steadiness.py`` reads them), how many pairs the change wins by the
 metric's ``better`` (ties count for neither), how much worse the change's
 median is than the parent's next to the metric's bound, and whether a gain
-may be claimed: the change wins at least nine tenths of the pairs, its
-median is better than the parent's by more than the parent's interquartile
-range, and no larger share of its operations fails.
+may be claimed: there are at least ten pairs, the change wins at least
+nine tenths of them, its median is better than the parent's by more than
+the parent's interquartile range, no larger share of its operations
+fails, and the output gate of ``bench/run.py`` passed on every run of
+both sides.  Every run lasts
+``BENCHMARK.json``'s ``run_seconds``.  The exit status is 1 if any run's
+outputs were wrong.
 """
 
 from __future__ import annotations
@@ -49,8 +53,10 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     """One row per end-to-end metric from (parent, change) result pairs.
 
     ``worse_by`` is the change's median against the parent's, as a share
-    of the parent's, signed so that a positive value is worse.
+    of the parent's, signed so that a positive value is worse.  No row
+    claims a gain unless every run of both sides is ``correct``.
     """
+    correct = all(side["correct"] for sides in pairs for side in sides)
     failed = [sum(side["failed"] for side in sides) / sum(side["attempted"] for side in sides)
               for sides in zip(*pairs)]
     rows = []
@@ -68,7 +74,8 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
             "pairs": len(pairs),
             "worse_by": -gap / abs(parent[1]) if parent[1] else 0.0,
             "bound": spec["bound"],
-            "gain": 10 * wins >= 9 * len(pairs) and gap > parent[2] - parent[0] and failed[1] <= failed[0],
+            "gain": (correct and len(pairs) >= 10 and 10 * wins >= 9 * len(pairs) and gap > parent[2] - parent[0]
+                     and failed[1] <= failed[0]),
         })
     return rows
 
@@ -91,7 +98,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", choices=[w["name"] for w in spec["workloads"]], required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
 
     pairs = []
@@ -100,11 +106,16 @@ def main(argv=None) -> int:
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            results[side] = run_bench(sides[side], args.workload, args.seed, args.seconds)
+            results[side] = run_bench(sides[side], args.workload, args.seed, spec["run_seconds"])
             print(f"pair {index} {side} {json.dumps(results[side])}", flush=True)
         pairs.append((results["parent"], results["change"]))
-    print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs of {args.seconds:g} s runs")
+    print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs of {spec['run_seconds']:g} s runs")
     print(render(summarize(pairs, spec["end_to_end"])))
+    wrong = [f"pair {index} {side}" for index, sides in enumerate(pairs)
+             for side, result in zip(("parent", "change"), sides) if not result["correct"]]
+    if wrong:
+        print(f"the output gate found wrong outputs in: {', '.join(wrong)}", file=sys.stderr)
+        return 1
     return 0
 
 
