@@ -4,23 +4,34 @@ The generators are encoded as thermometer bitmasks, so that an lcm is a
 bitwise OR and its degree a popcount.  Each bit is a variable of the
 polarization, which has the same graded Betti numbers, and every step
 below works on the masks alone.  They carry no slot layout: a candidate
-degree is the componentwise max of its class's exponent vectors.  The
-table is read off the Taylor resolution: each generator subset S is a
-cell in homological degree |S| - 1 at deg lcm S, and ``subset_counts``
+degree is the componentwise max of its class's exponent vectors.
+
+The table is read off the Taylor resolution: each generator subset S is
+a cell in homological degree |S| - 1 at deg lcm S, and ``subset_counts``
 counts the cells by size and degree.  The subsets with one lcm form an
 lcm class, whose largest member U is the closed set of all generators
-dividing lcm U.  A class whose members each own a bit no other member
-covers (``_taylor_minimal``) has U as its only subset, and its one cell
-is its Betti number.  When all of G(I) passes, I is Taylor-minimal and
-the counts are the table.  Otherwise a depth-first search walks the
-closed sets, and each shared class trades its cells for the homology of
-its Taylor strand (the subsets of U with lcm U), ranked as sparse integer
-rows.  Each trade has Euler characteristic 0.
+dividing lcm U, and β_{i,j} is the sum over the classes of degree j of
+the rank at i of their Taylor strand (the subsets of U with lcm U,
+relative to those of smaller lcm).  When every generator of G(I) owns a
+bit no other covers (``_taylor_minimal``), each class is its one cell
+and the counts are the table.  Otherwise a depth-first search walks the
+closed sets, and each class is read off its core (``_class_ranks``):
 
-Everything is exact, and every table is checked: row 0 against the
-generator degrees; a sample of strands taken a second way, through the
-nerve of the polarization's strand complex, once per distinct lcm drawn;
-the degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
+- a *forced* member owns a bit no other member of U covers, so it lies
+  in every cell, and it shifts the strand's indices up by one;
+- the *core* is the rest of U, restricted to the *needed* bits that the
+  forced members miss; an empty core is a single class, one cell;
+- a *free* core member has no needed bit, so the strand is a cone with
+  no homology, and the class adds nothing;
+- any other core (at most four members on the ideals measured so far)
+  has its cells listed and ranked as sparse integer rows.
+
+Everything is exact, and every table is checked, in this order: row 0
+against the generator degrees; a sample of strands taken a second way,
+through the nerve of the polarization's strand complex, once per
+distinct lcm drawn; on a walked table, which does not read the subset
+counts, the Euler characteristic of each degree against the counts'; the
+degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
 generators, the whole table against the Taylor oracle, which shares the
 Taylor strand with this module as mathematics but not as code.
 
@@ -189,23 +200,23 @@ def _strand_homology(facets: list[int]) -> dict[int, int]:
     return homology_ranks_of_masks(nerve_face_masks(facets[1:], facets[0]))
 
 
-def _taylor_minimal(masks: list[int]) -> bool:
-    """True iff every generator owns a bit that no other generator covers.
-
-    The one test of private bits: on G(I) it says that every subset is
-    the only one with its lcm, so the Taylor resolution is minimal; on the
-    members of a closed set U, that U is a single cell.  The private bits
-    are those set at least once and not twice, found in one pass.
-    """
+def _private_bits(masks: list[int]) -> int:
+    """The bits set in exactly one of ``masks``, found in one pass."""
     once = twice = 0
     for mask in masks:
         twice |= once & mask
         once |= mask
-    private = once & ~twice
-    for mask in masks:
-        if not mask & private:
-            return False
-    return True
+    return once & ~twice
+
+
+def _taylor_minimal(masks: list[int]) -> bool:
+    """True iff every generator owns a bit that no other generator covers.
+
+    On G(I) it says that every subset is the only one with its lcm, so the
+    Taylor resolution is minimal.
+    """
+    private = _private_bits(masks)
+    return all(mask & private for mask in masks)
 
 
 def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
@@ -256,6 +267,20 @@ def _check_moments(T: dict[tuple[int, int], int], masks: list[int]) -> None:
         raise AssertionError(f"subset-count degree moments {got} differ from the bit owners' {want}")
 
 
+def _check_euler(entries: dict[tuple[int, int], int], T: dict[tuple[int, int], int]) -> None:
+    """Assert Σ_i (-1)^i β_{i,j} = Σ_{k≥1} (-1)^(k-1) T[k, j] in every degree
+    j: any resolution has the Euler characteristic of the Taylor complex."""
+    gap: Counter = Counter()
+    for (i, j), c in entries.items():
+        gap[j] += -c if i % 2 else c
+    for (k, j), c in T.items():
+        if k:
+            gap[j] -= c if k % 2 else -c
+    wrong = {j: g for j, g in sorted(gap.items()) if g}
+    if wrong:
+        raise AssertionError(f"Euler characteristics minus the subset counts', by degree: {wrong}")
+
+
 def _taylor_cells(members: list[int], lcm: int) -> list[int]:
     """The subsets of ``members`` whose OR is ``lcm``, as bitmasks over
     member positions: a covering search that takes or leaves each member,
@@ -278,12 +303,27 @@ def _taylor_cells(members: list[int], lcm: int) -> list[int]:
     return cells
 
 
-def _taylor_strand(members: list[int], lcm: int) -> tuple[Counter, dict[int, int]]:
-    """Cells and nonzero homology ranks of the Taylor strand at ``lcm``,
-    both keyed by the table's index i (cells of i+1 members).  The strand
-    is the simplex on the members relative to the subsets of smaller lcm."""
-    cells = _taylor_cells(members, lcm)
-    return Counter(c.bit_count() - 1 for c in cells), homology_ranks_of_masks(cells)
+def _class_ranks(members: list[int], lcm: int) -> dict[int, int]:
+    """Nonzero homology ranks of the Taylor strand at ``lcm``, keyed by the
+    table's index i (cells of i+1 members), read off the core as the
+    module docstring says: the forced members shift it, an empty core is
+    one cell, and a free core member makes it a cone."""
+    private = _private_bits(members)
+    forced = covered = 0
+    core = []
+    for mask in members:
+        if mask & private:
+            forced += 1
+            covered |= mask
+        else:
+            core.append(mask)
+    if not core:
+        return {forced - 1: 1}
+    needed = lcm & ~covered
+    core = [mask & needed for mask in core]
+    if not all(core):
+        return {}
+    return {i + forced: r for i, r in homology_ranks_of_masks(_taylor_cells(core, needed)).items()}
 
 
 @lru_cache(maxsize=64)
@@ -325,29 +365,29 @@ def _sample(masks: list[int]) -> list[tuple[int, int, list[int]]]:
 
 def betti_table(I: MonomialIdeal) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention): the subset
-    counts as Taylor cells, shared classes traded for their strand
-    homology, and the checks of the module docstring."""
+    counts when I is Taylor-minimal, otherwise the sum of the walked
+    classes' ranks, and the checks of the module docstring."""
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
     _, gen_vecs = exponent_vectors(I)
     masks = thermometer_masks(gen_vecs)
     counts = subset_counts(masks)
-    entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     sample = _sample(masks)
     sampled = {lcm for _, lcm, _ in sample}
-    shared: dict[int, dict[int, int]] = {}  # sampled shared class's lcm mask -> its nonzero ranks
-    if not _taylor_minimal(masks):
+    walked: dict[int, dict[int, int]] = {}  # sampled lcm mask -> its class's nonzero ranks
+    minimal = _taylor_minimal(masks)
+    if minimal:
+        entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
+    else:
+        entries = {}
         for U, lcm in _lcm_classes(masks):
-            members = [mask for k, mask in enumerate(masks) if U >> k & 1]
-            if _taylor_minimal(members):
-                continue
-            cells, ranks = _taylor_strand(members, lcm)
+            ranks = _class_ranks([mask for k, mask in enumerate(masks) if U >> k & 1], lcm)
             j = lcm.bit_count()
-            for i in cells.keys() | ranks.keys():
-                entries[i, j] = entries.get((i, j), 0) + ranks.get(i, 0) - cells[i]
+            for i, r in ranks.items():
+                entries[i, j] = entries.get((i, j), 0) + r
             if lcm in sampled:
-                shared[lcm] = ranks
+                walked[lcm] = ranks
 
     by_degree = dict(Counter(g.degree() for g in I.generators))
     row0 = {j: c for (i, j), c in entries.items() if i == 0 and c}
@@ -362,12 +402,14 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
         if lcm not in nerve:
             nerve[lcm] = {d + 1: r for d, r in _strand_homology(facets).items()}
         got = nerve[lcm]
-        want = shared.get(lcm, {size - 1: 1})
+        want = walked.get(lcm, {size - 1: 1})
         if got != want:
             raise AssertionError(
                 f"strand at the lcm of {size} sampled generators (degree {lcm.bit_count()}): "
                 f"the nerve gives {got}, the table {want}"
             )
+    if not minimal:
+        _check_euler(entries, counts)
     _check_moments(counts, masks)
     table = BettiTable("of_ideal", entries)
 

@@ -104,9 +104,6 @@ class Variable:
     def is_polarized(self) -> bool:
         return self.polar is not None
 
-    def sort_key(self) -> tuple:
-        return self._sort_key
-
     def __lt__(self, other: "Variable") -> bool:
         return self._sort_key < other._sort_key
 

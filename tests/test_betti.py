@@ -170,8 +170,8 @@ class TestBettiTable:
 
 
 class TestSelfChecks:
-    """Corrupted subset counts on a walked ideal must trip the engine's own
-    assertions, each with its message."""
+    """A corrupted walk or corrupted subset counts on a walked ideal must
+    trip the engine's own assertions, each with its message."""
 
     @staticmethod
     def _corrupt_counts(monkeypatch, corrupt):
@@ -183,20 +183,24 @@ class TestSelfChecks:
         monkeypatch.setattr(betti_mod, "subset_counts", wrapped)
 
     def test_row_zero_mismatch_is_caught(self, monkeypatch):
-        def corrupt(T, masks):
-            # a subset of one generator adds (0, 9) and one of two adds (1, 9):
-            # the alternating sums cancel, and row 0 is checked first
-            T[1, 9] = T.get((1, 9), 0) + 1
-            T[2, 9] = T.get((2, 9), 0) + 1
+        # a walked single-generator class dropped: its generator leaves row 0
+        # (and the Euler sum at its degree), and row 0 is checked first
+        lcm_classes = betti_mod._lcm_classes
 
-        self._corrupt_counts(monkeypatch, corrupt)
+        def dropped(masks):
+            classes = list(lcm_classes(masks))
+            lone = next(c for c in classes if c[0].bit_count() == 1)
+            return [c for c in classes if c != lone]
+
+        monkeypatch.setattr(betti_mod, "_lcm_classes", dropped)
         with pytest.raises(AssertionError, match="row 0"):
             betti_table(edge_ideal(FIXTURES["3.4"].graph))
 
     def test_sampled_cell_without_a_count_is_caught(self, monkeypatch):
         def corrupt(T, masks):
-            # past row 0, which would see a missing single generator first
-            size, lcm = next((size, lcm) for size, lcm, _ in betti_mod._sample(masks) if size >= 2)
+            # a walked table does not read the counts, so row 0 passes even
+            # without the count of a sampled single generator
+            size, lcm = next((size, lcm) for size, lcm, _ in betti_mod._sample(masks) if size == 1)
             del T[size, lcm.bit_count()]
 
         self._corrupt_counts(monkeypatch, corrupt)
@@ -485,6 +489,19 @@ class TestLcmClasses:
             assert len(cells) == len(want) and set(cells) == want
 
     @given(small_ideals())
+    def test_class_ranks_are_the_brute_force_strand_homology(self, I):
+        # single classes, cones and ranked cores alike: every subset of U
+        # with lcm U, ranked as the simplex on U relative to smaller lcms
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        for U, lcm in betti_mod._lcm_classes(masks):
+            group = members(U, masks)
+            cells = [
+                S for S in range(1, 1 << len(group))
+                if reduce(or_, (mask for p, mask in enumerate(group) if S >> p & 1)) == lcm
+            ]
+            assert betti_mod._class_ranks(group, lcm) == homology_ranks_of_masks(cells)
+
+    @given(small_ideals())
     def test_engine_matches_taylor_oracle(self, I):
         assert betti_table(I) == taylor_betti_table(I)
 
@@ -495,7 +512,7 @@ class TestLcmClasses:
         # read from
         ideals = [edge_ideal(f.graph) for f in FIXTURES.values()]
         ideals += [random_ideal(rng, max_gens=6, max_exp=3) for _ in range(10)]
-        singles = shared = polarized = 0
+        singles = cones = cores = polarized = 0
         for I in ideals:
             masks = thermometer_masks(exponent_vectors(I)[1])
             for U, lcm in betti_mod._lcm_classes(masks):
@@ -506,16 +523,22 @@ class TestLcmClasses:
                     assert homology_ranks_of_masks(strand) == ranks
                     polarized += 1
                 assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm)) == ranks
-                # the Taylor strand, in the table's index i = d + 1
-                taylor_ranks = betti_mod._taylor_strand(members(U, masks), lcm)[1]
-                assert taylor_ranks == {d + 1: r for d, r in ranks.items()}
-                if betti_mod._taylor_minimal(members(U, masks)):
+                # the class read off its core, in the table's index i = d + 1
+                group = members(U, masks)
+                assert betti_mod._class_ranks(group, lcm) == {d + 1: r for d, r in ranks.items()}
+                forced = [mask for mask in group if mask & betti_mod._private_bits(group)]
+                covered = reduce(or_, forced, 0)
+                if len(forced) == len(group):
                     assert ranks == {U.bit_count() - 2: 1}
                     singles += 1
+                elif any(mask | covered == covered for mask in group if mask not in forced):
+                    assert not ranks
+                    cones += 1
                 else:
-                    shared += 1
+                    cores += 1
         assert singles > 100
-        assert shared > 10
+        assert cones > 10
+        assert cores > 5
         assert polarized > 250
 
     def test_strand_homology_of_the_irrelevant_complex(self):
@@ -661,20 +684,23 @@ class TestLcmClasses:
     def test_sample_catches_a_wrong_shared_rank_above_the_oracle_guard(self, monkeypatch):
         # A non-minimal ideal of 18 generators: the chord x1*x3 owns no bit.
         # One rank too many in the top degree of every shared class (three or
-        # more members) keeps row 0 and the subset counts; only a sampled
-        # shared class, whose nerve still gives the true ranks, shows it.
+        # more members) keeps row 0 and the subset counts; the sample, checked
+        # before the Euler sums, is the first to show it, since the nerve of a
+        # sampled shared class still gives the true ranks.
         cycle = oriented_cycle_ideal(17)
         I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
         assert len(I.generators) == 18 and not certified(I)
-        taylor_strand = betti_mod._taylor_strand
+        class_ranks = betti_mod._class_ranks
 
         def wrong(members, lcm):
-            cells, ranks = taylor_strand(members, lcm)
+            ranks = class_ranks(members, lcm)
+            if betti_mod._taylor_minimal(members):
+                return ranks
             top = len(members) - 1
-            return cells, {**ranks, top: ranks.get(top, 0) + 1}
+            return {**ranks, top: ranks.get(top, 0) + 1}
 
         oracle_calls = []
-        monkeypatch.setattr(betti_mod, "_taylor_strand", wrong)
+        monkeypatch.setattr(betti_mod, "_class_ranks", wrong)
         monkeypatch.setattr(taylor_mod, "taylor_betti_table", lambda I: oracle_calls.append(I))
         with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
@@ -693,24 +719,49 @@ class TestLcmClasses:
         with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
 
-    def test_oracle_catches_what_row_0_and_the_sample_miss_on_a_walk(self, monkeypatch):
-        # One cell fewer in degrees 1 and 2 of each shared class adds +1 at
-        # (1, j) and (2, j): row 0, every alternating sum, the sampled ranks
-        # and the subset counts stay as they are.  The oracle runs after
-        # those checks, so its message shows they passed.
-        I = edge_ideal(FIXTURES["3.4"].graph)
-        assert not certified(I)
-        taylor_strand = betti_mod._taylor_strand
+    @staticmethod
+    def _shift_unsampled_classes(monkeypatch, I, by):
+        """Wrap ``_class_ranks`` so that every class of two or more members
+        whose lcm the sample misses has its indices shifted by ``by``.  Such
+        a class has no rank at index 0, so row 0 keeps; returns the lcms of
+        the shifted non-cone classes."""
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        sampled = {lcm for _, lcm, _ in betti_mod._sample(masks)}
+        class_ranks, shifted = betti_mod._class_ranks, []
 
         def skewed(members, lcm):
-            cells, ranks = taylor_strand(members, lcm)
-            cells[1] -= 1
-            cells[2] -= 1
-            return cells, ranks
+            ranks = class_ranks(members, lcm)
+            if len(members) < 2 or lcm in sampled or not ranks:
+                return ranks
+            shifted.append(lcm)
+            return {i + by: r for i, r in ranks.items()}
 
-        monkeypatch.setattr(betti_mod, "_taylor_strand", skewed)
+        monkeypatch.setattr(betti_mod, "_class_ranks", skewed)
+        return shifted
+
+    def test_oracle_catches_what_row_0_and_the_sample_miss_on_a_walk(self, monkeypatch):
+        # An even index shift of the unsampled non-cone classes keeps row 0,
+        # the sampled ranks, every alternating sum and the subset counts.  The
+        # oracle runs after those checks, so its message shows they passed.
+        I = edge_ideal(FIXTURES["3.4"].graph)
+        assert not certified(I)
+        shifted = self._shift_unsampled_classes(monkeypatch, I, 2)
         with pytest.raises(AssertionError, match="Taylor oracle"):
             betti_table(I)
+        assert shifted
+
+    def test_euler_catches_what_row_0_and_the_sample_miss_above_the_oracle_guard(self, monkeypatch):
+        # An odd index shift of the unsampled non-cone classes flips their
+        # signs in the alternating sums.  Row 0 and the sample pass, and with
+        # 12 generators no oracle runs: the Euler check is the one to see it.
+        I = edge_ideal(random_instance("OrientedCycle", cycle_len=12, weight_range=(1, 3), seed=3))
+        assert len(I.generators) > betti_mod.FULL_CHECK_LIMIT and not certified(I)
+        shifted = self._shift_unsampled_classes(monkeypatch, I, 1)
+        oracle_calls = []
+        monkeypatch.setattr(taylor_mod, "taylor_betti_table", lambda I: oracle_calls.append(I))
+        with pytest.raises(AssertionError, match="Euler characteristics minus"):
+            betti_table(I)
+        assert shifted and not oracle_calls
 
     def test_invariants_reuse_a_given_table(self, monkeypatch):
         I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)")
@@ -1070,3 +1121,18 @@ class TestWeightOneCounterexamples:
         p = predict(D)
         assert (table.reg(), table.pd()) == got
         assert (p.reg_pred, p.pd_pred) == predicted
+
+    @pytest.mark.parametrize(
+        "tag, cycle_len, extra, got",
+        [("OrientedCycle", 16, 0, (17, 11)), ("UnicyclicAttached", 4, 12, (16, 12))],
+        ids=["cycle-16", "attached-4+12"],
+    )
+    def test_sixteen_edges_without_the_oracle(self, tag, cycle_len, extra, got):
+        # 16 generators, within the default generator guard and above
+        # FULL_CHECK_LIMIT, so the engine runs no oracle and (reg, pd) is pinned
+        D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=1)
+        I = edge_ideal(D)
+        assert len(I.generators) == 16 <= betti_mod.DEFAULT_GENERATOR_GUARD and not certified(I)
+        report = verify_formula(D)
+        assert (report.computed.reg, report.computed.pd) == got
+        assert report.verdict != VERDICT_PASS
