@@ -51,7 +51,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import taylor
 from .monomials import (
@@ -281,7 +281,7 @@ def _check_euler(entries: dict[tuple[int, int], int], T: dict[tuple[int, int], i
         raise AssertionError(f"Euler characteristics minus the subset counts', by degree: {wrong}")
 
 
-def _taylor_cells(members: list[int], lcm: int) -> list[int]:
+def _taylor_cells(members: Sequence[int], lcm: int) -> list[int]:
     """The subsets of ``members`` whose OR is ``lcm``, as bitmasks over
     member positions: a covering search that takes or leaves each member,
     and leaves one only if the members after it (their suffix OR) can
@@ -303,11 +303,14 @@ def _taylor_cells(members: list[int], lcm: int) -> list[int]:
     return cells
 
 
-def _class_ranks(members: list[int], lcm: int) -> dict[int, int]:
+def _class_ranks(members: list[int], lcm: int, ranked: dict[tuple[int, ...], dict[int, int]]) -> dict[int, int]:
     """Nonzero homology ranks of the Taylor strand at ``lcm``, keyed by the
     table's index i (cells of i+1 members), read off the core as the
     module docstring says: the forced members shift it, an empty core is
-    one cell, and a free core member makes it a cone."""
+    one cell, and a free core member makes it a cone.  ``ranked`` maps
+    each restricted core met so far (whose OR is its needed bits) to its
+    unshifted ranks, so that a core shared by many classes is ranked
+    once."""
     private = _private_bits(members)
     forced = covered = 0
     core = []
@@ -320,10 +323,12 @@ def _class_ranks(members: list[int], lcm: int) -> dict[int, int]:
     if not core:
         return {forced - 1: 1}
     needed = lcm & ~covered
-    core = [mask & needed for mask in core]
-    if not all(core):
+    restricted = tuple([mask & needed for mask in core])
+    if not all(restricted):
         return {}
-    return {i + forced: r for i, r in homology_ranks_of_masks(_taylor_cells(core, needed)).items()}
+    if restricted not in ranked:
+        ranked[restricted] = homology_ranks_of_masks(_taylor_cells(restricted, needed))
+    return {i + forced: r for i, r in ranked[restricted].items()}
 
 
 @lru_cache(maxsize=64)
@@ -376,13 +381,14 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     sample = _sample(masks)
     sampled = {lcm for _, lcm, _ in sample}
     walked: dict[int, dict[int, int]] = {}  # sampled lcm mask -> its class's nonzero ranks
+    ranked: dict[tuple[int, ...], dict[int, int]] = {}  # see _class_ranks
     minimal = _taylor_minimal(masks)
     if minimal:
         entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     else:
         entries = {}
         for U, lcm in _lcm_classes(masks):
-            ranks = _class_ranks([mask for k, mask in enumerate(masks) if U >> k & 1], lcm)
+            ranks = _class_ranks([mask for k, mask in enumerate(masks) if U >> k & 1], lcm, ranked)
             j = lcm.bit_count()
             for i, r in ranks.items():
                 entries[i, j] = entries.get((i, j), 0) + r

@@ -491,15 +491,17 @@ class TestLcmClasses:
     @given(small_ideals())
     def test_class_ranks_are_the_brute_force_strand_homology(self, I):
         # single classes, cones and ranked cores alike: every subset of U
-        # with lcm U, ranked as the simplex on U relative to smaller lcms
+        # with lcm U, ranked as the simplex on U relative to smaller lcms;
+        # one memo of core ranks serves all the classes, as in a walk
         masks = thermometer_masks(exponent_vectors(I)[1])
+        ranked = {}
         for U, lcm in betti_mod._lcm_classes(masks):
             group = members(U, masks)
             cells = [
                 S for S in range(1, 1 << len(group))
                 if reduce(or_, (mask for p, mask in enumerate(group) if S >> p & 1)) == lcm
             ]
-            assert betti_mod._class_ranks(group, lcm) == homology_ranks_of_masks(cells)
+            assert betti_mod._class_ranks(group, lcm, ranked) == homology_ranks_of_masks(cells)
 
     @given(small_ideals())
     def test_engine_matches_taylor_oracle(self, I):
@@ -525,7 +527,7 @@ class TestLcmClasses:
                 assert betti_mod._strand_homology(betti_mod._strand_facets(masks, lcm)) == ranks
                 # the class read off its core, in the table's index i = d + 1
                 group = members(U, masks)
-                assert betti_mod._class_ranks(group, lcm) == {d + 1: r for d, r in ranks.items()}
+                assert betti_mod._class_ranks(group, lcm, {}) == {d + 1: r for d, r in ranks.items()}
                 forced = [mask for mask in group if mask & betti_mod._private_bits(group)]
                 covered = reduce(or_, forced, 0)
                 if len(forced) == len(group):
@@ -692,8 +694,8 @@ class TestLcmClasses:
         assert len(I.generators) == 18 and not certified(I)
         class_ranks = betti_mod._class_ranks
 
-        def wrong(members, lcm):
-            ranks = class_ranks(members, lcm)
+        def wrong(members, lcm, ranked):
+            ranks = class_ranks(members, lcm, ranked)
             if betti_mod._taylor_minimal(members):
                 return ranks
             top = len(members) - 1
@@ -729,8 +731,8 @@ class TestLcmClasses:
         sampled = {lcm for _, lcm, _ in betti_mod._sample(masks)}
         class_ranks, shifted = betti_mod._class_ranks, []
 
-        def skewed(members, lcm):
-            ranks = class_ranks(members, lcm)
+        def skewed(members, lcm, ranked):
+            ranks = class_ranks(members, lcm, ranked)
             if len(members) < 2 or lcm in sampled or not ranks:
                 return ranks
             shifted.append(lcm)
