@@ -528,7 +528,8 @@ class TestLcmClasses:
                 # the class read off its core, in the table's index i = d + 1
                 group = members(U, masks)
                 assert betti_mod._class_ranks(group, lcm, {}) == {d + 1: r for d, r in ranks.items()}
-                forced = [mask for mask in group if mask & betti_mod._private_bits(group)]
+                private = betti_mod._private_bits(group)
+                forced = [mask for mask in group if mask & private]
                 covered = reduce(or_, forced, 0)
                 if len(forced) == len(group):
                     assert ranks == {U.bit_count() - 2: 1}
