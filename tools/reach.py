@@ -1,9 +1,9 @@
 """Reach record of the weight-1 ladders: how far ``verify_formula`` gets in 10 s.
 
-    python3 tools/reach.py [CHECKOUT] [--out BENCH_reach.json] [--start 12] [--top 40]
+    python3 tools/reach.py [CHECKOUT]
 
 Two ladders, OrientedCycle and UnicyclicAttached, of ``random_instance``
-graphs at weights 1..3 and seed 1, from ``--start`` edges up in steps of
+graphs at weights 1..3 and seed 1, from START = 12 edges up in steps of
 2.  A UnicyclicAttached rung of m edges has a cycle of max(3, m // 4)
 vertices and the rest attached.  Weights of 1 break the paper's
 hypothesis, so most of these ideals are not Taylor-minimal and the engine
@@ -13,13 +13,14 @@ Each rung runs in its own subprocess: CHECKOUT's ``src`` on PYTHONPATH,
 ``EIL_GUARD_GENS`` raised past any rung, and the address space capped at
 4,000,000 KiB as ``ulimit -v 4000000`` does.  The rung times one
 ``verify_formula`` call and reports its peak RSS.  A ladder stops after
-its first rung over 10 s, at ``--top`` edges, or at a rung that fails
+its first rung over 10 s, at TOP = 40 edges, or at a rung that fails
 (killed after 60 s, out of memory, or any other error).  CHECKOUT
 defaults to the checkout holding this script.
 
 The record {commit, rungs: [{instance, m, seconds, peak_rss_mb, reg, pd}]}
-is appended to the JSON list in ``--out``; a failed rung has
-``seconds`` null and an ``error``.
+is appended to the JSON list in OUT, ``BENCH_reach.json`` at the root of
+this script's checkout; a failed rung has ``seconds`` null and an
+``error``.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LADDERS = ("OrientedCycle", "UnicyclicAttached")
+START, TOP = 12, 40  # edges of the first and the last rung
 LIMIT_S = 10.0
 KILL_S = 60.0
 ADDRESS_SPACE = 4_000_000 * 1024  # bytes: ulimit -v 4000000
+OUT = ROOT / "BENCH_reach.json"
 
 RUNG = """
 import json, resource, sys, time
@@ -91,22 +94,19 @@ def commit_of(checkout: Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("checkout", type=Path, nargs="?", default=ROOT)
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_reach.json")
-    parser.add_argument("--start", type=int, default=12)
-    parser.add_argument("--top", type=int, default=40)
     args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
     rungs = []
     for tag in LADDERS:
-        for m in range(args.start, args.top + 1, 2):
+        for m in range(START, TOP + 1, 2):
             rung = run_rung(checkout, tag, m)
             print(json.dumps(rung), flush=True)
             rungs.append(rung)
             if rung["seconds"] is None or rung["seconds"] > LIMIT_S:
                 break
-    records = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else []
+    records = json.loads(OUT.read_text(encoding="utf-8")) if OUT.exists() else []
     records.append({"commit": commit_of(checkout), "rungs": rungs})
-    args.out.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
+    OUT.write_text(json.dumps(records, indent=2) + "\n", encoding="utf-8")
     return 0
 
 
