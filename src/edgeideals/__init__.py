@@ -5,7 +5,7 @@ Library layout:
 - :mod:`edgeideals.monomials` — monomial/ideal arithmetic and polarization
 - :mod:`edgeideals.digraphs`  — weighted oriented graphs, their classes and weight hypothesis, edge ideals
 - :mod:`edgeideals.simplicial` — exact homology ranks of face bitmasks
-- :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus the lcm-class walk for shared classes
+- :mod:`edgeideals.betti`     — the Betti engine: subset counts, plus recursive Betti splittings for non-minimal ideals
 - :mod:`edgeideals.taylor`    — independent Taylor-resolution oracle
 - :mod:`edgeideals.tables`    — the Betti table type and the sizing guards' error, shared by both
 - :mod:`edgeideals.formulas`  — closed-form predictions and Betti splittings

@@ -14,26 +14,58 @@ dividing lcm U, and β_{i,j} is the sum over the classes of degree j of
 the rank at i of their Taylor strand (the subsets of U with lcm U,
 relative to those of smaller lcm).  When every generator of G(I) owns a
 bit no other covers (``_taylor_minimal``), each class is its one cell
-and the counts are the table.  Otherwise a depth-first search walks the
-closed sets, and each class is read off its core (``_class_ranks``):
+and the counts are the table.
 
-- a *forced* member owns a bit no other member of U covers, so it lies
-  in every cell, and it shifts the strand's indices up by one;
-- the *core* is the rest of U, restricted to the *needed* bits that the
-  forced members miss; an empty core is a single class, one cell;
-- a *free* core member has no needed bit, so the strand is a cone with
-  no homology, and the class adds nothing;
-- any other core (at most four members on the ideals measured so far)
-  has its cells listed and ranked as sparse integer rows.
+Otherwise the table comes from recursive Betti splittings
+(``_split_table``), each distinct set of masks computed once:
 
-Everything is exact, and every table is checked, in this order: row 0
-against the generator degrees; a sample of strands taken a second way,
-through the nerve of the polarization's strand complex, once per
-distinct lcm drawn; on a walked table, which does not read the subset
-counts, the Euler characteristic of each degree against the counts'; the
-degree moments of the subset counts; and, up to ``FULL_CHECK_LIMIT``
-generators, the whole table against the Taylor oracle, which shares the
-Taylor strand with this module as mathematics but not as code.
+- *Peel.*  If g owns a private bit x, then I = (g) + I′ splits off the
+  one generator divisible by x, and the principal (g) has a linear
+  resolution, so by Francisco, Hà and Van Tuyl ("Splittings of monomial
+  ideals", Proc. AMS 137, 2009, Cor. 2.7) it is a Betti splitting.  As
+  (g) ∩ I′ = g·(I′ : g), in every multidegree
+  β(I) = β(I′) + e_{0, deg g} + shift_{(1, deg g)} β(I′ : g).  The colon
+  is generated by the masks h & ~g, minimalized (``_colon``).  Of the
+  generators owning a private bit, the one sharing bits with the most
+  others is peeled: on the weight-1 ladders that leaves far fewer
+  subproblems than peeling the one sharing the fewest.
+- *Product.*  Ideals I and J on disjoint bits have
+  S/(I + J) = S/I ⊗ S/J, so the quotients' polynomials 1 + t·β
+  multiply.  This is tried first: peeling one component would drag the
+  others into every subproblem.
+- *Walk.*  A connected set in which no generator owns a private bit is
+  walked: a depth-first search lists its closed sets, and each class is
+  read off its core (``_class_ranks``).
+  - A *forced* member owns a bit no other member of U covers, so it lies
+    in every cell, and it shifts the strand's indices up by one.
+  - The *core* is the rest of U, restricted to the *needed* bits that
+    the forced members miss; an empty core is a single class, one cell.
+  - A *free* core member has no needed bit, so the strand is a cone
+    with no homology, and the class adds nothing.
+  - Any other core has its cells listed and ranked as sparse integer
+    rows.
+
+Everything is exact, and every table is checked, in this order:
+
+- row 0 against the generator degrees;
+- a sample of lcms L, each strand ranked a second way, through the nerve
+  of the polarization's strand complex, once per distinct L.  On the
+  subset-count path the table holds one cell there.  On the split path
+  the value comes from a top-degree chain of colons (``_top_ranks``):
+  β_{i,L}(I) = β_{i,L}(I_L) for I_L the generators dividing L, and if g
+  owns a private bit of I_L, lcm(I_L ∖ g) misses that bit, so the I′
+  term of the peel vanishes at L and
+  β_{i,L}(I_L) = β_{i-1, L∖g}((I_L ∖ g) : g).  The chain is {} once a
+  colon's OR falls below its L (a redundant mask dropped took its bits),
+  one cell once every member owns a private bit, and the walk's ranks
+  where none does.  It shares the colons with the recursion, but not
+  the sums;
+- on a split table, which does not read the subset counts, the Euler
+  characteristic of each degree against the counts';
+- the degree moments of the subset counts;
+- and, up to ``FULL_CHECK_LIMIT`` generators, the whole table against
+  the Taylor oracle, which shares the Taylor strand with this module as
+  mathematics but not as code.
 
 The sample's index subsets are drawn once per generator count with a
 fixed seed.  Each nerve is ranked relative to the closed star of one
@@ -49,8 +81,9 @@ import os
 import random
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 from typing import Iterator, Sequence
 
 from . import taylor
@@ -112,6 +145,13 @@ class InvariantSummary:
     reg: int
     pd: int
     depth_of_quotient: int
+
+    @classmethod
+    def of_table(cls, table: BettiTable, n: int) -> InvariantSummary:
+        """The summary of a nonzero ideal of n-variable S from its table:
+        depth S/I = n - pd S/I (Auslander-Buchsbaum)."""
+        pd_ideal = table.pd()
+        return cls(reg=table.reg(), pd=pd_ideal, depth_of_quotient=n - (pd_ideal + 1))
 
 
 def _lcm_classes(masks: list[int]) -> Iterator[tuple[int, int]]:
@@ -331,6 +371,136 @@ def _class_ranks(members: list[int], lcm: int, ranked: dict[tuple[int, ...], dic
     return {i + forced: r for i, r in ranked[restricted].items()}
 
 
+def _walk(masks: list[int], ranked: dict[tuple[int, ...], dict[int, int]]) -> dict[tuple[int, int], int]:
+    """The table of ``masks`` as the sum of the classes' ranks, every lcm
+    class walked."""
+    entries: dict[tuple[int, int], int] = {}
+    for U, lcm in _lcm_classes(masks):
+        j = lcm.bit_count()
+        for i, r in _class_ranks([mask for k, mask in enumerate(masks) if U >> k & 1], lcm, ranked).items():
+            entries[i, j] = entries.get((i, j), 0) + r
+    return entries
+
+
+def _colon(masks: list[int], g: int) -> list[int]:
+    """Minimal generators of (masks ∖ g) : g, for an antichain ``masks``
+    holding g: each h & ~g, minus those containing another.
+
+    Only the masks meeting g shrink.  An untouched mask cannot contain
+    another untouched one (an antichain) nor lie in a shrunk h & ~g (it
+    would lie in h), so only the shrunk masks can make others redundant.
+    """
+    kept, shrunk = [], set()
+    for h in masks:
+        if not h & g:
+            kept.append(h)
+        elif h != g:
+            shrunk.add(h & ~g)
+    shrunk = [s for s in shrunk if not any(t != s and t & s == t for t in shrunk)]
+    return [h for h in kept if not any(s & h == s for s in shrunk)] + shrunk
+
+
+def _components(masks: list[int]) -> list[list[int]]:
+    """The masks grouped by the connected components of the graph in which
+    two masks are adjacent when they share a bit.  Each group's OR is
+    disjoint from the others', so a mask meets exactly the groups it joins."""
+    parts: list[tuple[int, list[int]]] = []  # (OR of the group, its masks)
+    for mask in masks:
+        bits, group, apart = mask, [mask], []
+        for part in parts:
+            if part[0] & mask:
+                bits |= part[0]
+                group += part[1]
+            else:
+                apart.append(part)
+        apart.append((bits, group))
+        parts = apart
+    return [group for _, group in parts]
+
+
+def _peel_choice(masks: list[int]) -> int | None:
+    """The generator to peel: of those owning a bit no other covers, the
+    first sharing bits with the most others; None if none owns one."""
+    private = _private_bits(masks)
+    owners = [g for g in masks if g & private]
+    if not owners:
+        return None
+    return max(owners, key=lambda g: sum(1 for h in masks if h & g))
+
+
+def _peel(rest: dict[tuple[int, int], int], degree: int, colon: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """β(I) = β(I′) + e_{0, deg g} + shift_{(1, deg g)} β(I′ : g), the
+    splitting of I = (g) + I′ along a private bit of g."""
+    out = dict(rest)
+    out[0, degree] = out.get((0, degree), 0) + 1
+    for (i, j), c in colon.items():
+        key = i + 1, j + degree
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+def _product(a: dict[tuple[int, int], int], b: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The table of I + J on disjoint bits: the quotients' polynomials
+    1 + t·A and 1 + t·B multiply, so β = A + B + t·A·B."""
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    for (i, j), c in a.items():
+        for (i2, j2), c2 in b.items():
+            key = i + i2 + 1, j + j2
+            out[key] = out.get(key, 0) + c * c2
+    return out
+
+
+def _split_table(masks: list[int]) -> dict[tuple[int, int], int]:
+    """The table of the antichain ``masks`` by recursive Betti splittings,
+    each distinct subproblem once (see the module docstring)."""
+    memo: dict[frozenset[int], dict[tuple[int, int], int]] = {}
+    ranked: dict[tuple[int, ...], dict[int, int]] = {}  # see _class_ranks
+
+    def table(masks: list[int]) -> dict[tuple[int, int], int]:
+        key = frozenset(masks)
+        out = memo.get(key)
+        if out is not None:
+            return out
+        if len(masks) == 1:
+            out = {(0, masks[0].bit_count()): 1}
+        elif len(masks) == 2:  # two incomparable masks each own a bit: the Taylor cells
+            a, b = masks[0].bit_count(), masks[1].bit_count()
+            out = {(0, a): 2} if a == b else {(0, a): 1, (0, b): 1}
+            out[1, (masks[0] | masks[1]).bit_count()] = 1
+        else:
+            parts = _components(masks)
+            if len(parts) > 1:
+                out = reduce(_product, map(table, parts))
+            else:
+                g = _peel_choice(masks)
+                if g is None:
+                    out = _walk(masks, ranked)
+                else:
+                    out = _peel(table([h for h in masks if h != g]), g.bit_count(), table(_colon(masks, g)))
+        memo[key] = out
+        return out
+
+    return table(masks)
+
+
+def _top_ranks(masks: list[int], lcm: int, ranked: dict[tuple[int, ...], dict[int, int]]) -> dict[int, int]:
+    """Nonzero β_{i, lcm} of the ideal of ``masks``, the generators dividing
+    ``lcm``, by index i: a chain of colons (see the module docstring)."""
+    shift = 0
+    while reduce(or_, masks) == lcm:
+        private = _private_bits(masks)
+        owners = [mask for mask in masks if mask & private]
+        if len(owners) == len(masks):
+            return {shift + len(masks) - 1: 1}  # Taylor-minimal: one cell, the whole set
+        if not owners:
+            return {i + shift: r for i, r in _class_ranks(masks, lcm, ranked).items()}
+        g = owners[0]
+        masks, lcm, shift = _colon(masks, g), lcm & ~g, shift + 1
+    return {}
+
+
 @lru_cache(maxsize=64)
 def _draws(m: int) -> tuple[tuple[int, ...], ...]:
     """``SAMPLE_CHECKS`` fixed-seed subsets of range(m), each of at most
@@ -370,8 +540,8 @@ def _sample(masks: list[int]) -> list[tuple[int, int, list[int]]]:
 
 def betti_table(I: MonomialIdeal) -> BettiTable:
     """The graded Betti table of I (``of_ideal`` convention): the subset
-    counts when I is Taylor-minimal, otherwise the sum of the walked
-    classes' ranks, and the checks of the module docstring."""
+    counts when I is Taylor-minimal, otherwise the recursive Betti
+    splittings, and the checks of the module docstring."""
     if I.is_zero():
         return BettiTable("of_ideal", {})
     _check_generator_guard(I)
@@ -379,21 +549,11 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
     masks = thermometer_masks(gen_vecs)
     counts = subset_counts(masks)
     sample = _sample(masks)
-    sampled = {lcm for _, lcm, _ in sample}
-    walked: dict[int, dict[int, int]] = {}  # sampled lcm mask -> its class's nonzero ranks
-    ranked: dict[tuple[int, ...], dict[int, int]] = {}  # see _class_ranks
     minimal = _taylor_minimal(masks)
     if minimal:
         entries = {(k - 1, j): c for (k, j), c in counts.items() if k}
     else:
-        entries = {}
-        for U, lcm in _lcm_classes(masks):
-            ranks = _class_ranks([mask for k, mask in enumerate(masks) if U >> k & 1], lcm, ranked)
-            j = lcm.bit_count()
-            for i, r in ranks.items():
-                entries[i, j] = entries.get((i, j), 0) + r
-            if lcm in sampled:
-                walked[lcm] = ranks
+        entries = _split_table(masks)
 
     by_degree = dict(Counter(g.degree() for g in I.generators))
     row0 = {j: c for (i, j), c in entries.items() if i == 0 and c}
@@ -401,14 +561,19 @@ def betti_table(I: MonomialIdeal) -> BettiTable:
         raise AssertionError(f"row 0 {row0} does not match generator degrees {by_degree}")
 
     nerve: dict[int, dict[int, int]] = {}  # sampled lcm mask -> its strand's ranks, by the nerve
+    chain: dict[int, dict[int, int]] = {}  # and, on a split table, by the colon chain
+    ranked: dict[tuple[int, ...], dict[int, int]] = {}  # see _class_ranks
     for size, lcm, facets in sample:
         if not counts.get((size, lcm.bit_count())):
             raise AssertionError(f"sampled cell of {size} generators has no count at its lcm degree")
-        # One lcm has one set of facets, so each distinct lcm is ranked once.
+        # One lcm has one set of facets and one class, so each distinct lcm
+        # is ranked once.
         if lcm not in nerve:
             nerve[lcm] = {d + 1: r for d, r in _strand_homology(facets).items()}
+            if not minimal:
+                chain[lcm] = _top_ranks([g for g in masks if g | lcm == lcm], lcm, ranked)
         got = nerve[lcm]
-        want = walked.get(lcm, {size - 1: 1})
+        want = {size - 1: 1} if minimal else chain[lcm]
         if got != want:
             raise AssertionError(
                 f"strand at the lcm of {size} sampled generators (degree {lcm.bit_count()}): "
@@ -436,10 +601,4 @@ def invariants(I: MonomialIdeal, table: BettiTable | None = None) -> InvariantSu
         raise ValueError("the zero ideal has no invariant summary")
     if table is None:
         table = betti_table(I)
-    n = len(I.ambient)
-    pd_ideal = table.pd()
-    return InvariantSummary(
-        reg=table.reg(),
-        pd=pd_ideal,
-        depth_of_quotient=n - (pd_ideal + 1),
-    )
+    return InvariantSummary.of_table(table, len(I.ambient))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import BettiTable, InvariantSummary, betti_table, invariants
+from .betti import BettiTable, InvariantSummary, betti_table
 from .digraphs import (
     GraphClass,
     GraphClassTag,
@@ -111,11 +111,15 @@ def verify_formula(D: WeightedDigraph, table: BettiTable | None = None) -> Invar
 
     ``table`` is the Betti table of the edge ideal when the caller already
     has it (source weights never enter the edge ideal); otherwise it is
-    computed.  The report keeps only the invariants, not the table.  A
-    tripped sizing guard raises ``GuardError`` to the caller.
+    computed.  The edge ideal lives in one variable per vertex, so the
+    depth needs no edge ideal when the table is given.  The report keeps
+    only the invariants, not the table.  A tripped sizing guard raises
+    ``GuardError`` to the caller.
     """
     prediction = predict(D)
-    summary = invariants(edge_ideal(D), table)
+    if table is None:
+        table = betti_table(edge_ideal(D))
+    summary = InvariantSummary.of_table(table, len(D.vertices))
     match = (summary.reg, summary.pd) == (prediction.reg_pred, prediction.pd_pred)
     if prediction.applicable:
         verdict = VERDICT_PASS if match else VERDICT_FAIL

@@ -18,7 +18,7 @@ alternating sum of β_{i,j}(S/I) equals the alternating subset count
 Σ_{S ⊆ G(I)} (-1)^{|S|} [deg lcm(S) = j], which holds for any resolution.
 Its subset side is T(-1, u), read off the subset counts T(t, u) of
 ``monomials.subset_counts``, so it lists no subsets and needs no size
-bound.  The engine checks its walked tables against the same identity
+bound.  The engine checks its split tables against the same identity
 (``betti._check_euler``); tests and demos call this one.
 """
 

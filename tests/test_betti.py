@@ -8,7 +8,7 @@ from math import comb
 from operator import or_
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import edgeideals.betti as betti_mod
@@ -170,8 +170,8 @@ class TestBettiTable:
 
 
 class TestSelfChecks:
-    """A corrupted walk or corrupted subset counts on a walked ideal must
-    trip the engine's own assertions, each with its message."""
+    """A corrupted splitting or corrupted subset counts on a split ideal
+    must trip the engine's own assertions, each with its message."""
 
     @staticmethod
     def _corrupt_counts(monkeypatch, corrupt):
@@ -183,22 +183,24 @@ class TestSelfChecks:
         monkeypatch.setattr(betti_mod, "subset_counts", wrapped)
 
     def test_row_zero_mismatch_is_caught(self, monkeypatch):
-        # a walked single-generator class dropped: its generator leaves row 0
-        # (and the Euler sum at its degree), and row 0 is checked first
-        lcm_classes = betti_mod._lcm_classes
+        # a peel that drops its e_{0, deg g} term: g leaves row 0 (and the
+        # Euler sum at its degree), and row 0 is checked first
+        peel, peeled = betti_mod._peel, []
 
-        def dropped(masks):
-            classes = list(lcm_classes(masks))
-            lone = next(c for c in classes if c[0].bit_count() == 1)
-            return [c for c in classes if c != lone]
+        def without_generator(rest, degree, colon):
+            out = peel(rest, degree, colon)
+            peeled.append(degree)
+            out[0, degree] -= 1
+            return out
 
-        monkeypatch.setattr(betti_mod, "_lcm_classes", dropped)
+        monkeypatch.setattr(betti_mod, "_peel", without_generator)
         with pytest.raises(AssertionError, match="row 0"):
             betti_table(edge_ideal(FIXTURES["3.4"].graph))
+        assert peeled
 
     def test_sampled_cell_without_a_count_is_caught(self, monkeypatch):
         def corrupt(T, masks):
-            # a walked table does not read the counts, so row 0 passes even
+            # a split table does not read the counts, so row 0 passes even
             # without the count of a sampled single generator
             size, lcm = next((size, lcm) for size, lcm, _ in betti_mod._sample(masks) if size == 1)
             del T[size, lcm.bit_count()]
@@ -620,7 +622,7 @@ class TestLcmClasses:
 
     @pytest.mark.parametrize("source", [4, 6, 12, "3.4"], ids=["4-repeated-draws", "6", "12", "3.4-walk"])
     def test_sample_catches_a_nerve_that_disagrees_with_the_table(self, monkeypatch, source):
-        # Minimal or walked, every table sends a fixed-seed sample of subsets
+        # Minimal or split, every table sends a fixed-seed sample of subsets
         # through the nerve path at every size; with four generators the
         # draws repeat lcms, and the doubled ranks are still caught.
         I = edge_ideal(FIXTURES[source].graph) if source == "3.4" else oriented_cycle_ideal(source)
@@ -684,30 +686,29 @@ class TestLcmClasses:
         assert table.pd() == 15
         assert peak < 2 * 2**20
 
-    def test_sample_catches_a_wrong_shared_rank_above_the_oracle_guard(self, monkeypatch):
+    def test_sample_catches_a_wrongly_minimalized_colon_above_the_oracle_guard(self, monkeypatch):
         # A non-minimal ideal of 18 generators: the chord x1*x3 owns no bit.
-        # One rank too many in the top degree of every shared class (three or
-        # more members) keeps row 0 and the subset counts; the sample, checked
-        # before the Euler sums, is the first to show it, since the nerve of a
-        # sampled shared class still gives the true ranks.
+        # A colon that keeps the larger of two nested masks, not the smaller,
+        # feeds only rows 1 and up, so row 0 holds.  The top-degree chain of
+        # a sampled lcm takes the same colons and the nerve of its strand
+        # takes none, so the sample, checked before the Euler sums, is the
+        # first to show it.
+        colons = []
+
+        def larger_kept(masks, g):
+            shrunk = {h & ~g for h in masks if h != g}
+            colons.append(g)
+            return [s for s in shrunk if not any(t != s and s & t == s for t in shrunk)]
+
         cycle = oriented_cycle_ideal(17)
         I = make_ideal([*cycle.generators, parse_monomial("x1*x3")], cycle.ambient)
         assert len(I.generators) == 18 and not certified(I)
-        class_ranks = betti_mod._class_ranks
-
-        def wrong(members, lcm, ranked):
-            ranks = class_ranks(members, lcm, ranked)
-            if betti_mod._taylor_minimal(members):
-                return ranks
-            top = len(members) - 1
-            return {**ranks, top: ranks.get(top, 0) + 1}
-
         oracle_calls = []
-        monkeypatch.setattr(betti_mod, "_class_ranks", wrong)
+        monkeypatch.setattr(betti_mod, "_colon", larger_kept)
         monkeypatch.setattr(taylor_mod, "taylor_betti_table", lambda I: oracle_calls.append(I))
         with pytest.raises(AssertionError, match="the nerve gives"):
             betti_table(I)
-        assert not oracle_calls
+        assert colons and not oracle_calls
 
     def test_sample_check_catches_a_wrong_certification_above_the_oracle_guard(self, monkeypatch):
         # Certified by mistake, the 18 generators take the subset-count path.
@@ -723,54 +724,142 @@ class TestLcmClasses:
             betti_table(I)
 
     @staticmethod
-    def _shift_unsampled_classes(monkeypatch, I, by):
-        """Wrap ``_class_ranks`` so that every class of two or more members
-        whose lcm the sample misses has its indices shifted by ``by``.  Such
-        a class has no rank at index 0, so row 0 keeps; returns the lcms of
-        the shifted non-cone classes."""
-        masks = thermometer_masks(exponent_vectors(I)[1])
-        sampled = {lcm for _, lcm, _ in betti_mod._sample(masks)}
-        class_ranks, shifted = betti_mod._class_ranks, []
+    def _shift_colon_terms(monkeypatch, by):
+        """Wrap ``_peel`` so that the colon's table enters at index i + 1 + by,
+        not i + 1.  The colon term has no row 0, and the sample reads its
+        values off the colon chain, not the table, so row 0 and the sample
+        still pass; returns the degrees of the peeled generators."""
+        peel, peeled = betti_mod._peel, []
 
-        def skewed(members, lcm, ranked):
-            ranks = class_ranks(members, lcm, ranked)
-            if len(members) < 2 or lcm in sampled or not ranks:
-                return ranks
-            shifted.append(lcm)
-            return {i + by: r for i, r in ranks.items()}
+        def skewed(rest, degree, colon):
+            peeled.append(degree)
+            return peel(rest, degree, {(i + by, j): c for (i, j), c in colon.items()})
 
-        monkeypatch.setattr(betti_mod, "_class_ranks", skewed)
-        return shifted
+        monkeypatch.setattr(betti_mod, "_peel", skewed)
+        return peeled
 
-    def test_oracle_catches_what_row_0_and_the_sample_miss_on_a_walk(self, monkeypatch):
-        # An even index shift of the unsampled non-cone classes keeps row 0,
-        # the sampled ranks, every alternating sum and the subset counts.  The
-        # oracle runs after those checks, so its message shows they passed.
+    def test_oracle_catches_what_row_0_and_the_sample_miss_on_a_split_table(self, monkeypatch):
+        # An even index shift of every colon term keeps row 0, the sample,
+        # every alternating sum and the subset counts.  The oracle runs after
+        # those checks, so its message shows they passed.
         I = edge_ideal(FIXTURES["3.4"].graph)
         assert not certified(I)
-        shifted = self._shift_unsampled_classes(monkeypatch, I, 2)
+        peeled = self._shift_colon_terms(monkeypatch, 2)
         with pytest.raises(AssertionError, match="Taylor oracle"):
             betti_table(I)
-        assert shifted
+        assert peeled
+
+    def test_oracle_alone_catches_an_unminimalized_colon(self, monkeypatch):
+        # Colons that keep their redundant masks make the recursion count
+        # the cells of a Taylor resolution, which is not minimal: row 0, the
+        # sample, the Euler sums and the subset counts all agree with it, and
+        # only the oracle, up to FULL_CHECK_LIMIT generators, sees it.
+        I = edge_ideal(FIXTURES["3.4"].graph)
+        assert not certified(I)
+        monkeypatch.setattr(betti_mod, "_colon", lambda masks, g: [h & ~g for h in masks if h != g])
+        with pytest.raises(AssertionError, match="Taylor oracle"):
+            betti_table(I)
 
     def test_euler_catches_what_row_0_and_the_sample_miss_above_the_oracle_guard(self, monkeypatch):
-        # An odd index shift of the unsampled non-cone classes flips their
-        # signs in the alternating sums.  Row 0 and the sample pass, and with
-        # 12 generators no oracle runs: the Euler check is the one to see it.
+        # An odd index shift of every colon term flips its signs in the
+        # alternating sums.  Row 0 and the sample pass, and with 12
+        # generators no oracle runs: the Euler check is the one to see it.
         I = edge_ideal(random_instance("OrientedCycle", cycle_len=12, weight_range=(1, 3), seed=3))
         assert len(I.generators) > betti_mod.FULL_CHECK_LIMIT and not certified(I)
-        shifted = self._shift_unsampled_classes(monkeypatch, I, 1)
+        peeled = self._shift_colon_terms(monkeypatch, 1)
         oracle_calls = []
         monkeypatch.setattr(taylor_mod, "taylor_betti_table", lambda I: oracle_calls.append(I))
         with pytest.raises(AssertionError, match="Euler characteristics minus"):
             betti_table(I)
-        assert shifted and not oracle_calls
+        assert peeled and not oracle_calls
 
     def test_invariants_reuse_a_given_table(self, monkeypatch):
         I = parse_ideal("(x1*x2^3, x2*x3^2, x3*x4^4, x4*x1^5)")
         table = betti_table(I)
         monkeypatch.setattr(betti_mod, "betti_table", None)
         assert invariants(I, table) == InvariantSummary(11, 3, 0)
+
+
+def table_of(masks):
+    """The table of the ideal of ``masks`` by recursive Betti splittings."""
+    return betti_mod._split_table(masks)
+
+
+def fewest_neighbours(masks):
+    """The other peel order: of the generators owning a private bit, the
+    first sharing bits with the fewest others."""
+    private = betti_mod._private_bits(masks)
+    owners = [g for g in masks if g & private]
+    return min(owners, key=lambda g: sum(1 for h in masks if h & g)) if owners else None
+
+
+@st.composite
+def weight_one_masks(draw, sizes):
+    """The masks of a weight-1..3 graph with about ``sizes`` edges: most are
+    not Taylor-minimal, as the paper's counterexamples are not."""
+    tag = draw(st.sampled_from(GRAPH_CLASSES))
+    D = seeded_graph(tag, draw(sizes), (1, 3), draw(st.integers(0, 10**6)))
+    return thermometer_masks(exponent_vectors(edge_ideal(D))[1])
+
+
+@st.composite
+def simple_graph_masks(draw, sizes):
+    """The squarefree edge ideal of a simple graph on seven vertices, one
+    two-bit mask per edge: triangles leave subproblems with no private bit."""
+    size = draw(sizes)
+    edges = draw(st.lists(st.sampled_from(list(combinations(range(7), 2))), min_size=size, max_size=size, unique=True))
+    return [1 << a | 1 << b for a, b in edges]
+
+
+TRIANGLE = parse_ideal("(x1*x2, x2*x3, x1*x3)")
+
+
+class TestBettiSplittings:
+    """The recursion of the non-minimal path: peels along private bits,
+    products of components, and the walk where no generator owns a bit."""
+
+    @given(small_ideals())
+    @example(TRIANGLE)
+    def test_recursion_matches_the_oracle(self, I):
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        assert table_of(masks) == taylor_betti_table(I).entries
+
+    def test_a_triangle_has_no_private_generator_and_is_walked(self, monkeypatch):
+        walk, walked = betti_mod._walk, []
+        monkeypatch.setattr(betti_mod, "_walk", lambda masks, ranked: walked.append(masks) or walk(masks, ranked))
+        masks = thermometer_masks(exponent_vectors(TRIANGLE)[1])
+        assert not betti_mod._private_bits(masks)
+        assert table_of(masks) == {(0, 2): 3, (1, 3): 2}
+        assert walked == [masks]
+
+    @settings(max_examples=20)
+    @given(st.one_of(weight_one_masks(st.integers(11, 16)), simple_graph_masks(st.integers(11, 16))))
+    def test_recursion_matches_the_walk_on_eleven_to_sixteen_generators(self, masks):
+        assume(11 <= len(masks) <= 16)  # a forest of n vertices has fewer than n edges
+        assert table_of(masks) == betti_mod._walk(masks, {})
+
+    @given(st.one_of(small_ideals().map(lambda I: thermometer_masks(exponent_vectors(I)[1])),
+                     weight_one_masks(st.integers(4, 24))))
+    def test_two_peel_orders_give_one_table(self, masks):
+        most = table_of(masks)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(betti_mod, "_peel_choice", fewest_neighbours)
+            assert table_of(masks) == most
+
+    @given(small_ideals())
+    def test_the_colon_chain_gives_each_sampled_strand(self, I):
+        masks = thermometer_masks(exponent_vectors(I)[1])
+        for _, lcm, facets in betti_mod._sample(masks):
+            chain = betti_mod._top_ranks([g for g in masks if g | lcm == lcm], lcm, {})
+            assert chain == {d + 1: r for d, r in betti_mod._strand_homology(facets).items()}
+
+    def test_disjoint_components_multiply(self):
+        # (x1*x2, x2*x3) + (x4*x5): the quotients' polynomials multiply
+        a = {(0, 2): 2, (1, 3): 1}
+        b = {(0, 2): 1}
+        assert betti_mod._product(a, b) == {(0, 2): 3, (1, 3): 1, (1, 4): 2, (2, 5): 1}
+        I = parse_ideal("(x1*x2, x2*x3, x4*x5)")
+        assert table_of(thermometer_masks(exponent_vectors(I)[1])) == taylor_betti_table(I).entries
 
 
 @st.composite
@@ -1044,7 +1133,7 @@ class TestSubsetCounts:
 class TestTaylorMinimalPremise:
     """Under the weight hypothesis (w >= 2 off the sources) every edge ideal
     is Taylor-minimal and takes the subset-count path; the counterexample
-    fixtures are not and take the walk."""
+    fixtures are not and take the Betti splittings."""
 
     @pytest.mark.parametrize("tag", GRAPH_CLASSES)
     def test_hypothesis_instances_are_certified(self, tag):
@@ -1093,10 +1182,10 @@ class TestLadderSizes:
 
 
 class TestWeightOneCounterexamples:
-    """Weights 1..3 drop the hypothesis w >= 2: these 11-16-edge instances
-    are not certified, so they take the walk and its shared-class strands.
-    Above FULL_CHECK_LIMIT generators the engine no longer runs the oracle
-    itself, so it is run here; (reg, pd) is pinned against the closed forms."""
+    """Weights 1..3 drop the hypothesis w >= 2: these instances are not
+    certified, so they take the Betti splittings.  Above FULL_CHECK_LIMIT
+    generators the engine no longer runs the oracle itself, so up to 16
+    edges it is run here; (reg, pd) is pinned against the closed forms."""
 
     @pytest.mark.parametrize(
         "tag, cycle_len, extra, seed, got, predicted",
@@ -1136,6 +1225,21 @@ class TestWeightOneCounterexamples:
         D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=1)
         I = edge_ideal(D)
         assert len(I.generators) == 16 <= betti_mod.DEFAULT_GENERATOR_GUARD and not certified(I)
+        report = verify_formula(D)
+        assert (report.computed.reg, report.computed.pd) == got
+        assert report.verdict != VERDICT_PASS
+
+    @pytest.mark.parametrize(
+        "tag, cycle_len, extra, got",
+        [("OrientedCycle", 64, 0, (64, 49)), ("UnicyclicAttached", 16, 48, (49, 46))],
+        ids=["cycle-64", "attached-16+48"],
+    )
+    def test_sixty_four_edges_by_splittings(self, monkeypatch, tag, cycle_len, extra, got):
+        # past the generator guard, which is raised here; the same (reg, pd)
+        # came out under the fewest-neighbours peel order
+        monkeypatch.setenv(betti_mod.GUARD_ENV_VAR, "64")
+        D = random_instance(tag, cycle_len=cycle_len, extra_vertices=extra, weight_range=(1, 3), seed=1)
+        assert len(D.edges) == 64 and not certified(edge_ideal(D))
         report = verify_formula(D)
         assert (report.computed.reg, report.computed.pd) == got
         assert report.verdict != VERDICT_PASS

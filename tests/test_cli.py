@@ -185,6 +185,20 @@ class TestCompute:
             assert len(calls) == tables
         assert len(polarized) == 1
 
+    def test_compute_input_builds_one_edge_ideal(self, capsys, c3_path, monkeypatch):
+        # verify_formula is handed the table, and reads the number of
+        # variables off the graph, not off a second edge ideal
+        built, real = [], cli_mod.edge_ideal
+
+        def counting(D):
+            built.append(D)
+            return real(D)
+
+        monkeypatch.setattr(cli_mod, "edge_ideal", counting)
+        monkeypatch.setattr(formulas_mod, "edge_ideal", counting)
+        assert run_cli(capsys, "compute", "--input", c3_path)[0] == EXIT_OK
+        assert len(built) == 1
+
     def test_no_subcommand_takes_a_no_timing_flag(self, capsys, c3_path):
         # verify times itself on stderr, so no command needs the switch
         for argv in (

@@ -7,13 +7,13 @@ graphs at weights 1..3 and seed 1, from START = 12 edges up in steps of
 2.  A UnicyclicAttached rung of m edges has a cycle of max(3, m // 4)
 vertices and the rest attached.  Weights of 1 break the paper's
 hypothesis, so most of these ideals are not Taylor-minimal and the engine
-walks their lcm classes.
+reads their tables off recursive Betti splittings.
 
 Each rung runs in its own subprocess: CHECKOUT's ``src`` on PYTHONPATH,
 ``EIL_GUARD_GENS`` raised past any rung, and the address space capped at
 4,000,000 KiB as ``ulimit -v 4000000`` does.  The rung times one
 ``verify_formula`` call and reports its peak RSS.  A ladder stops after
-its first rung over 10 s, at TOP = 40 edges, or at a rung that fails
+its first rung over 10 s, at TOP = 256 edges, or at a rung that fails
 (killed after 60 s, out of memory, or any other error).  CHECKOUT
 defaults to the checkout holding this script.
 
@@ -35,7 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LADDERS = ("OrientedCycle", "UnicyclicAttached")
-START, TOP = 12, 40  # edges of the first and the last rung
+START, TOP = 12, 256  # edges of the first and the last rung
 LIMIT_S = 10.0
 KILL_S = 60.0
 ADDRESS_SPACE = 4_000_000 * 1024  # bytes: ulimit -v 4000000
