@@ -780,11 +780,6 @@ class TestLcmClasses:
         assert invariants(I, table) == InvariantSummary(11, 3, 0)
 
 
-def table_of(masks):
-    """The table of the ideal of ``masks`` by recursive Betti splittings."""
-    return betti_mod._split_table(masks)
-
-
 def fewest_neighbours(masks):
     """The other peel order: of the generators owning a private bit, the
     first sharing bits with the fewest others."""
@@ -820,46 +815,36 @@ class TestBettiSplittings:
 
     @given(small_ideals())
     @example(TRIANGLE)
+    @example(parse_ideal("(x1*x2, x2*x3, x4*x5)"))
     def test_recursion_matches_the_oracle(self, I):
         masks = thermometer_masks(exponent_vectors(I)[1])
-        assert table_of(masks) == taylor_betti_table(I).entries
+        assert betti_mod._split_table(masks) == taylor_betti_table(I).entries
 
     def test_a_triangle_has_no_private_generator_and_is_walked(self, monkeypatch):
         walk, walked = betti_mod._walk, []
         monkeypatch.setattr(betti_mod, "_walk", lambda masks, ranked: walked.append(masks) or walk(masks, ranked))
         masks = thermometer_masks(exponent_vectors(TRIANGLE)[1])
         assert not betti_mod._private_bits(masks)
-        assert table_of(masks) == {(0, 2): 3, (1, 3): 2}
+        assert betti_mod._split_table(masks) == {(0, 2): 3, (1, 3): 2}
         assert walked == [masks]
 
     @settings(max_examples=20)
     @given(st.one_of(weight_one_masks(st.integers(11, 16)), simple_graph_masks(st.integers(11, 16))))
     def test_recursion_matches_the_walk_on_eleven_to_sixteen_generators(self, masks):
         assume(11 <= len(masks) <= 16)  # a forest of n vertices has fewer than n edges
-        assert table_of(masks) == betti_mod._walk(masks, {})
+        assert betti_mod._split_table(masks) == betti_mod._walk(masks, {})
 
     @given(st.one_of(small_ideals().map(lambda I: thermometer_masks(exponent_vectors(I)[1])),
                      weight_one_masks(st.integers(4, 24))))
     def test_two_peel_orders_give_one_table(self, masks):
-        most = table_of(masks)
+        most = betti_mod._split_table(masks)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(betti_mod, "_peel_choice", fewest_neighbours)
-            assert table_of(masks) == most
-
-    @given(small_ideals())
-    def test_the_colon_chain_gives_each_sampled_strand(self, I):
-        masks = thermometer_masks(exponent_vectors(I)[1])
-        for _, lcm, facets in betti_mod._sample(masks):
-            chain = betti_mod._top_ranks([g for g in masks if g | lcm == lcm], lcm, {})
-            assert chain == {d + 1: r for d, r in betti_mod._strand_homology(facets).items()}
+            assert betti_mod._split_table(masks) == most
 
     def test_disjoint_components_multiply(self):
-        # (x1*x2, x2*x3) + (x4*x5): the quotients' polynomials multiply
-        a = {(0, 2): 2, (1, 3): 1}
-        b = {(0, 2): 1}
-        assert betti_mod._product(a, b) == {(0, 2): 3, (1, 3): 1, (1, 4): 2, (2, 5): 1}
-        I = parse_ideal("(x1*x2, x2*x3, x4*x5)")
-        assert table_of(thermometer_masks(exponent_vectors(I)[1])) == taylor_betti_table(I).entries
+        # (x1*x2, x2*x3) + (x4*x5): the quotients' polynomials 1 + t·β multiply
+        assert betti_mod._product({(0, 2): 2, (1, 3): 1}, {(0, 2): 1}) == {(0, 2): 3, (1, 3): 1, (1, 4): 2, (2, 5): 1}
 
 
 @st.composite
