@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
@@ -170,10 +171,10 @@ def edge_ideal(D: WeightedDigraph) -> MonomialIdeal:
     return ideal
 
 
-def components(D: WeightedDigraph) -> list[WeightedDigraph]:
-    """Connected components of the underlying graph, order inherited; ``[D]`` itself when D is connected."""
-    names = D.vertex_names()
-    parent = {n: n for n in names}
+def component_groups(D: WeightedDigraph) -> list[list[str]]:
+    """Vertex lists of the connected components of the underlying graph,
+    each in declaration order, ordered by their first-declared vertex."""
+    parent = {n: n for n, _ in D.vertices}
 
     def find(a: str) -> str:
         while parent[a] != a:
@@ -186,44 +187,51 @@ def components(D: WeightedDigraph) -> list[WeightedDigraph]:
         if ra != rb:
             parent[ra] = rb
     groups: dict[str, list[str]] = {}
-    for n in names:
+    for n in parent:
         groups.setdefault(find(n), []).append(n)
+    return list(groups.values())
+
+
+def components(D: WeightedDigraph) -> list[WeightedDigraph]:
+    """Connected components, order inherited: ``[D]`` itself when D is connected,
+    else one new validated graph per ``component_groups`` list (classify builds none)."""
+    groups = component_groups(D)
     if len(groups) == 1:
         return [D]
     out = []
-    for root in sorted(groups, key=lambda r: D._index[groups[r][0]]):
-        members = set(groups[root])
+    for group in groups:
+        members = set(group)
         verts = [(n, w) for n, w in D.vertices if n in members]
         edges = [(t, h) for t, h in D.edges if t in members]
         out.append(WeightedDigraph(verts, edges))
     return out
 
 
-def _component_class(comp: WeightedDigraph) -> GraphClass:
-    """ROOTED_FOREST with the root, ORIENTED_CYCLE or UNICYCLIC_ATTACHED
-    with the directed cycle, or OTHER with ()."""
-    names = comp.vertex_names()
-    indegrees = [len(comp._in[n]) for n in names]
-    if len(comp.edges) == len(names) - 1 and max(indegrees) <= 1:
+def _component_class(D: WeightedDigraph, names: list[str]) -> GraphClass:
+    """ROOTED_FOREST with the root, ORIENTED_CYCLE or UNICYCLIC_ATTACHED with
+    the directed cycle, or OTHER with (), for D's component on ``names``."""
+    indegrees = [len(D._in[n]) for n in names]
+    n_edges = sum(len(D._out[n]) for n in names)
+    if n_edges == len(names) - 1 and max(indegrees) <= 1:
         return GraphClass(GraphClassTag.ROOTED_FOREST, (names[indegrees.index(0)],))
-    if len(comp.edges) != len(names) or any(d != 1 for d in indegrees):
+    if n_edges != len(names) or any(d != 1 for d in indegrees):
         return GraphClass(GraphClassTag.OTHER, ())
     # Every vertex has a unique predecessor; walking back finds the cycle.
     walk = [names[0]]
     seen = {names[0]: 0}
-    while (prev := comp._in[walk[-1]][0]) not in seen:
+    while (prev := D._in[walk[-1]][0]) not in seen:
         seen[prev] = len(walk)
         walk.append(prev)
     cycle = walk[seen[prev]:][::-1]
     # Rotate so the cycle starts at its first-declared vertex.
-    start = min(range(len(cycle)), key=lambda i: comp._index[cycle[i]])
+    start = min(range(len(cycle)), key=lambda i: D._index[cycle[i]])
     cycle = tuple(cycle[start:] + cycle[:start])
     if len(cycle) == len(names):
         return GraphClass(GraphClassTag.ORIENTED_CYCLE, cycle)
     return GraphClass(GraphClassTag.UNICYCLIC_ATTACHED, cycle)
 
 
-def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> GraphClass:
+def classify(D: WeightedDigraph, groups: list[list[str]] | None = None) -> GraphClass:
     """Classify into the formula-bearing graph classes.
 
     RootedForest: every component a tree with all edges oriented away
@@ -231,12 +239,13 @@ def classify(D: WeightedDigraph, comps: list[WeightedDigraph] | None = None) -> 
     UnicyclicAttached: connected, one directed cycle plus rooted trees
     oriented away from it.  UnicyclicGeneral: several components, each a
     rooted tree or an attached-type unicyclic component, at least one
-    cyclic.  Everything else is Other.  ``comps`` is ``components(D)``
-    when the caller already has it; otherwise it is computed.
+    cyclic.  Everything else is Other.  ``groups`` is ``component_groups(D)``
+    when the caller already has it.  Each component is read off D on its
+    vertex list; no component graph is built.
     """
-    if comps is None:
-        comps = components(D)
-    classes = [_component_class(c) for c in comps]
+    if groups is None:
+        groups = component_groups(D)
+    classes = [_component_class(D, g) for g in groups]
     tags = {c.tag for c in classes}
     if tags == {GraphClassTag.ROOTED_FOREST}:
         return GraphClass(GraphClassTag.ROOTED_FOREST, tuple(c.witness[0] for c in classes))
@@ -298,9 +307,10 @@ def random_instance(
 
     ``extra_vertices`` is the attached-tree vertex count for cyclic
     classes and the total vertex count for forests (``cycle_len`` must
-    then be 0).  The result is normalized, is asserted to classify as
-    requested, and (when the weight range starts at 2) to satisfy the
-    weight hypotheses.
+    then be 0).  One graph is built, from the drawn edge list and
+    weights: non-leaves draw from [lo, hi], leaves from [1, hi], and a
+    source gets weight 1.  It is asserted to classify as requested and
+    (when the weight range starts at 2) to satisfy the weight hypotheses.
     """
     tag = GraphClassTag(class_tag) if not isinstance(class_tag, GraphClassTag) else class_tag
     lo, hi = weight_range
@@ -317,42 +327,40 @@ def random_instance(
         if n < 2:
             raise ValueError("a rooted forest instance needs at least 2 vertices")
         names, edges = _random_forest_edges(n, rng)
-        D = WeightedDigraph([(nm, 1) for nm in names], edges)
     elif tag in (GraphClassTag.ORIENTED_CYCLE, GraphClassTag.UNICYCLIC_ATTACHED, GraphClassTag.UNICYCLIC_GENERAL):
         if cycle_len < 3:
             raise ValueError(f"cycle_len must be >= 3, got {cycle_len}")
         cyc = [f"x{i}" for i in range(1, cycle_len + 1)]
         edges = [(cyc[i], cyc[(i + 1) % cycle_len]) for i in range(cycle_len)]
+        names = cyc
         if tag is GraphClassTag.ORIENTED_CYCLE:
             if extra_vertices:
                 raise ValueError("an oriented cycle takes no extra vertices")
-            D = WeightedDigraph([(nm, 1) for nm in cyc], edges)
         elif tag is GraphClassTag.UNICYCLIC_ATTACHED:
             if extra_vertices < 1:
                 raise ValueError(
                     "an attached unicyclic instance needs >= 1 attached vertex "
                     "(0 degenerates to a bare oriented cycle)"
                 )
-            hosts = _attach_trees(cyc, edges, extra_vertices, rng)
-            D = WeightedDigraph([(nm, 1) for nm in hosts], edges)
+            names = _attach_trees(cyc, edges, extra_vertices, rng)
         else:
             attach = extra_vertices // 2
             hosts = _attach_trees(cyc, edges, attach, rng)
             forest_n = max(2, extra_vertices - attach + 2)
             fnames, fedges = _random_forest_edges(forest_n, rng, prefix="z")
-            D = WeightedDigraph(
-                [(nm, 1) for nm in hosts + fnames], edges + fedges
-            )
+            names, edges = hosts + fnames, edges + fedges
     else:
         raise ValueError(f"cannot generate instances of class {tag.value}")
 
     # Non-leaves draw from [lo, hi], leaves (unconstrained) from [1, hi].  Every
     # vertex draws; a source, whose weight never enters the edge ideal, gets 1.
+    degree = Counter(v for e in edges for v in e)
+    heads = {h for _, h in edges}
     vertices = []
-    for n in D.vertex_names():
-        w = rng.randint(1 if D.degree(n) == 1 else lo, hi)
-        vertices.append((n, 1 if D.is_source(n) else w))
-    D = WeightedDigraph(vertices, D.edges)
+    for n in names:
+        w = rng.randint(1 if degree[n] == 1 else lo, hi)
+        vertices.append((n, 1 if degree[n] and n not in heads else w))
+    D = WeightedDigraph(vertices, edges)
     got = classify(D)
     if got.tag is not tag:
         raise AssertionError(f"generator produced {got.tag.value}, wanted {tag.value}")

@@ -25,7 +25,7 @@ from .digraphs import (
     WeightedDigraph,
     check_hypotheses,
     classify,
-    components,
+    component_groups,
     edge_generator,
     edge_ideal,
 )
@@ -67,12 +67,12 @@ def predict(D: WeightedDigraph) -> FormulaPrediction:
     """
     if not D.edges:
         raise ValueError("the formulas need at least one edge")
-    comps = components(D)
-    cls = classify(D, comps)
+    groups = component_groups(D)
+    cls = classify(D, groups)
     violations = check_hypotheses(D)
     sum_w = sum(1 if D.is_source(n) else w for n, w in D.vertices if D.degree(n) > 0)
     n_edges = len(D.edges)
-    comps_with_edges = sum(1 for c in comps if c.edges)
+    comps_with_edges = sum(1 for g in groups if len(g) > 1)
     applicable = cls.tag is not GraphClassTag.OTHER and not violations
     return FormulaPrediction(
         reg_pred=sum_w - n_edges + 1,

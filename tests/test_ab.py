@@ -1,7 +1,9 @@
-"""The A/B summary of ``tools/ab.py`` on canned result lines, with no bench run."""
+"""The A/B summary of ``tools/ab.py`` on canned result lines, and its report
+of a failed run on a fake checkout; no real bench run."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,3 +79,28 @@ def test_render_has_one_line_per_metric():
     pairs = [(result(1500, 0.6), result(1700, 0.5))]
     text = ab.render(ab.summarize(pairs, END_TO_END))
     assert len(text.splitlines()) == 1 + len(END_TO_END)
+
+
+def test_a_failed_run_reports_its_pair_side_checkout_and_stderr_tail(tmp_path, capsys):
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "bench" / "run.py").write_text(
+        "import sys\n"
+        "for i in range(30):\n"
+        "    print(f'line {i}', file=sys.stderr)\n"
+        "print('MARKER-bench-broke', file=sys.stderr)\n"
+        "sys.exit(3)\n"
+    )
+    code = ab.main([str(tmp_path), str(tmp_path), "--workload", "campaign", "--seed", "1", "--pairs", "1"])
+    assert code == ab.EXIT_RUN_FAILED and code != 1  # 1 means wrong outputs
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == f"pair 0 parent: bench/run.py in {tmp_path} failed (exit 3); last 20 lines of stderr:"
+    assert err[1:] == [f"line {i}" for i in range(11, 30)] + ["MARKER-bench-broke"]
+
+
+def test_a_timed_out_run_reports_its_partial_stderr():
+    exc = subprocess.TimeoutExpired(["python3", "bench/run.py"], 340, stderr=b"half a line")
+    report = ab.failure_report(3, "change", ROOT, exc)
+    assert report.splitlines() == [
+        f"pair 3 change: bench/run.py in {ROOT} failed (timed out after 340 s); last 1 lines of stderr:",
+        "half a line",
+    ]

@@ -6,6 +6,7 @@ import edgeideals.digraphs as digraphs_mod
 import edgeideals.formulas as formulas_mod
 from edgeideals.betti import DEFAULT_GENERATOR_GUARD, GuardError, betti_table
 from edgeideals.digraphs import (
+    GraphClass,
     GraphClassTag,
     WeightedDigraph,
     classify,
@@ -37,6 +38,7 @@ from edgeideals.monomials import (
 from edgeideals.taylor import TAYLOR_GUARD
 
 from conftest import delete_edge, random_ideal, seeded_graph, weight_sum
+from test_digraphs import oriented_graphs
 
 
 def cycle_graph(n, weight=2):
@@ -112,20 +114,42 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(WeightedDigraph([("a", 1)], []))
 
-    def test_components_are_built_once(self, monkeypatch):
-        D = random_instance("UnicyclicGeneral", cycle_len=4, extra_vertices=3, weight_range=(2, 3), seed=1)
-        built, components = [], digraphs_mod.components
+    def test_predict_builds_no_graph_and_random_instance_builds_one(self, monkeypatch):
+        built, init = [], WeightedDigraph.__init__
 
-        def counted(D):
-            built.append(components(D))
-            return built[-1]
+        def counted(self, vertices, edges):
+            built.append(self)
+            init(self, vertices, edges)
 
-        monkeypatch.setattr(digraphs_mod, "components", counted)
-        monkeypatch.setattr(formulas_mod, "components", counted)
+        monkeypatch.setattr(WeightedDigraph, "__init__", counted)
+        shapes = [("RootedForest", dict(extra_vertices=9)), ("UnicyclicGeneral", dict(cycle_len=3, extra_vertices=6)),
+                  ("UnicyclicAttached", dict(cycle_len=3, extra_vertices=3)), ("OrientedCycle", dict(cycle_len=5))]
+        for tag, shape in shapes:
+            for seed in range(4):
+                before = len(built)
+                D = random_instance(tag, weight_range=(2, 4), seed=seed, **shape)
+                assert len(built) == before + 1 and built[-1] is D
+                p = predict(D)
+                assert len(built) == before + 1
+                assert p.class_used.tag is GraphClassTag(tag)
+
+    @given(oriented_graphs())
+    def test_predict_agrees_with_the_component_graphs(self, D):
+        assume(D.edges)
+        comps = digraphs_mod.components(D)
+        classes = [classify(c) for c in comps]
+        tags = {c.tag for c in classes}
+        if tags == {GraphClassTag.ROOTED_FOREST}:
+            expected = GraphClass(GraphClassTag.ROOTED_FOREST, tuple(c.witness[0] for c in classes))
+        elif len(classes) == 1:
+            expected = classes[0]
+        elif GraphClassTag.OTHER in tags:
+            expected = GraphClass(GraphClassTag.OTHER, ())
+        else:
+            expected = GraphClass(GraphClassTag.UNICYCLIC_GENERAL, ())
         p = predict(D)
-        assert len(built) == 1
-        assert p.class_used == digraphs_mod.classify(D, built[0])
-        assert p.depth_pred == sum(1 for c in built[0] if c.edges)
+        assert p.class_used == expected
+        assert p.depth_pred == (sum(1 for c in comps if c.edges) if p.applicable else None)
 
 
 class TestVerifyFormula:
@@ -274,9 +298,9 @@ class TestCheckBettiSplitting:
     def test_split_and_check_classifies_once(self, monkeypatch):
         calls = []
 
-        def counted(D, comps=None):
+        def counted(D, groups=None):
             calls.append(D)
-            return classify(D, comps)
+            return classify(D, groups)
 
         monkeypatch.setattr(formulas_mod, "classify", counted)
         D = random_instance("OrientedCycle", cycle_len=6, weight_range=(2, 3), seed=1)

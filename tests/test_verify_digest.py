@@ -4,8 +4,10 @@ Each campaign is ``verify --count 12 --seed 7`` with the default cycle
 and extra ranges: the four classes at weights 2..4 and 1..3 in json,
 one of them again in md and one in csv.  Weights of 1 void the
 hypotheses of the cyclic classes on most instances, so their 1..3
-campaigns pin inapplicable verdicts too.  Stdout carries no time; the
-elapsed time goes to stderr.
+campaigns pin inapplicable verdicts too.  Two more rows add options to
+those: the forest and disconnected unicyclic shapes that the bench
+``campaign`` draws, with leaves that draw from 1..4 and sources set to
+1.  Stdout carries no time; the elapsed time goes to stderr.
 """
 
 import hashlib
@@ -25,12 +27,17 @@ DIGESTS = {
     ("UnicyclicGeneral", "1..3", "json"): "45201fc28de07349dabe62ae7f8966670631ce1bc03f9be664e6fa9cc6181eca",
     ("UnicyclicGeneral", "1..3", "md"): "5619fa9772e6def0f8dd6e223953c37c64d93b80b114efebba9b0dc5d160b2f8",
     ("UnicyclicAttached", "2..4", "csv"): "9f2832f26ca6b5900c5e1ede2df80a71b5dd09ce51c97255088b6669cdf4aae6",
+    ("RootedForest", "2..4", "json", "--extra 6..11"):
+        "7bbd716af9fb88e1675441e2eb1cbb66ae0fb7a81dcf7a6cfe5e988fc8b4f6d2",
+    ("UnicyclicGeneral", "2..4", "json", "--cycle 3..4 --extra 0..8 --count 40"):
+        "b85c3b253439a0cd5a85bdcd808733ccf6851b90a0b0e6286b88538d5a0e2efd",
 }
 
 
-@pytest.mark.parametrize("class_tag, weights, fmt", sorted(DIGESTS), ids=str)
-def test_verify_stdout_is_unchanged(class_tag, weights, fmt, capsys):
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids="-".join)
+def test_verify_stdout_is_unchanged(key, capsys):
+    class_tag, weights, fmt, *options = key
     argv = ["verify", "--class", class_tag, "--count", "12", "--seed", "7", "--weights", weights, "--format", fmt]
-    assert main(argv) == EXIT_OK
+    assert main(argv + " ".join(options).split()) == EXIT_OK
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[class_tag, weights, fmt]
+    assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[key]

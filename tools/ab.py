@@ -19,7 +19,9 @@ the parent's interquartile range, no larger share of its operations
 fails, and the output gate of ``bench/run.py`` passed on every run of
 both sides.  Every run lasts
 ``BENCHMARK.json``'s ``run_seconds``.  The exit status is 1 if any run's
-outputs were wrong.
+outputs were wrong.  A run that exits nonzero or times out stops the
+comparison: its pair, side, checkout, exit status and the last 20 lines
+of its stderr go to stderr, and the exit status is 4.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EXIT_RUN_FAILED = 4
 
 
 def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,6 +43,20 @@ def run_bench(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
            "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=seconds + 300, check=True)
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def failure_report(index: int, side: str, checkout: Path, exc: subprocess.SubprocessError) -> str:
+    """The pair, side, checkout, exit status and last 20 stderr lines of a failed run."""
+    stderr = exc.stderr or ""
+    if isinstance(stderr, bytes):  # a timeout keeps its partial output undecoded
+        stderr = stderr.decode(errors="replace")
+    if isinstance(exc, subprocess.TimeoutExpired):
+        status = f"timed out after {exc.timeout:g} s"
+    else:
+        status = f"exit {exc.returncode}"
+    tail = stderr.splitlines()[-20:]
+    head = f"pair {index} {side}: bench/run.py in {checkout} failed ({status}); last {len(tail)} lines of stderr:"
+    return "\n".join([head, *tail])
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -106,7 +123,11 @@ def main(argv=None) -> int:
         order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
         results = {}
         for side in order:
-            results[side] = run_bench(sides[side], args.workload, args.seed, spec["run_seconds"])
+            try:
+                results[side] = run_bench(sides[side], args.workload, args.seed, spec["run_seconds"])
+            except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as exc:
+                print(failure_report(index, side, sides[side], exc), file=sys.stderr)
+                return EXIT_RUN_FAILED
             print(f"pair {index} {side} {json.dumps(results[side])}", flush=True)
         pairs.append((results["parent"], results["change"]))
     print(f"{args.workload} seed {args.seed}: {len(pairs)} pairs of {spec['run_seconds']:g} s runs")
